@@ -7,9 +7,10 @@ use collapois_core::targeted::{ActivationPolicy, TargetedCollaPois};
 use collapois_core::trojan::train_trojan;
 use collapois_data::federated::FederatedDataset;
 use collapois_fl::config::FlConfig;
-use collapois_fl::metrics::{evaluate_clients, population};
+use collapois_fl::metrics::{evaluate_clients_pooled, population};
 use collapois_fl::personalize::NoPersonalization;
 use collapois_fl::server::FlServer;
+use collapois_runtime::pool::{WorkerArenas, WorkerPool};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -43,6 +44,8 @@ fn main() {
             },
         ),
     ];
+    let pool = WorkerPool::auto();
+    let mut arenas = WorkerArenas::new();
     let mut table = Table::new(&["activation", "rounds attacked", "benign ac", "attack sr"]);
     for (label, policy) in policies {
         let fl_cfg = FlConfig {
@@ -73,13 +76,15 @@ fn main() {
             server.run_round(Some(&mut adv));
         }
         let global = server.global().to_vec();
-        let metrics = evaluate_clients(
+        let metrics = evaluate_clients_pooled(
             server.dataset(),
             &spec,
             |_| global.clone(),
             &collapois_data::poison::TriggerBackdoor(trigger.as_ref()),
             base.trojan.target_class,
             &compromised,
+            &pool,
+            &mut arenas,
         );
         let pop = population(&metrics);
         table.row(&[

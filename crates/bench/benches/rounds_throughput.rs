@@ -32,8 +32,9 @@
 //! previously committed `BENCH_rounds.json` and exits non-zero on a >20%
 //! regression; on hosts with at least 4 cores it additionally enforces a
 //! workers=4 scaling-efficiency floor on the fresh measurement — the CI
-//! guard-rails once a baseline exists. Skip messages always state the
-//! host's parallelism so a skipped check is attributable to the machine it
+//! guard-rails. A `--check` path with no readable baseline is an error
+//! (exit 1 before any measurement), never a skip. The scaling skip message
+//! states the host's parallelism so it is attributable to the machine it
 //! ran on.
 //!
 //! Baselines are host-shaped: the emitted file records `host_parallelism`,
@@ -303,6 +304,20 @@ fn main() {
     }
     let rounds = rounds.max(2);
 
+    // The regression gate fails closed: a missing or unreadable baseline is
+    // an error, not a skipped check. Read it before measuring so `--out`
+    // pointing at the same file cannot turn the gate into a self-compare.
+    let baseline = check.as_ref().map(|path| {
+        baseline_rounds_per_sec(path).unwrap_or_else(|| {
+            eprintln!(
+                "--check {}: no workers=1 rounds_per_sec baseline (missing or \
+                 unreadable file); refusing to skip the regression check",
+                path.display()
+            );
+            std::process::exit(1);
+        })
+    });
+
     // A single-core run must not clobber a baseline measured with real
     // parallelism: its scaling rows would replace signal with noise.
     if !force {
@@ -395,26 +410,17 @@ fn main() {
 
     emit_json(rounds, &scenarios, &out);
 
-    if let Some(baseline_path) = check {
-        match baseline_rounds_per_sec(&baseline_path) {
-            Some(base) => {
-                let now = scenarios[0].results[0].rounds_per_sec;
-                let floor = 0.8 * base;
-                println!(
-                    "baseline check: workers=1 {now:.2} rounds/sec vs committed {base:.2} (floor {floor:.2})"
-                );
-                assert!(
-                    now >= floor,
-                    "rounds/sec regressed >20% against the committed baseline: \
-                     {now:.2} < 0.8 * {base:.2}"
-                );
-            }
-            None => println!(
-                "no baseline at {} — skipping regression check (host_parallelism={})",
-                baseline_path.display(),
-                host_parallelism()
-            ),
-        }
+    if let Some(base) = baseline {
+        let now = scenarios[0].results[0].rounds_per_sec;
+        let floor = 0.8 * base;
+        println!(
+            "baseline check: workers=1 {now:.2} rounds/sec vs committed {base:.2} (floor {floor:.2})"
+        );
+        assert!(
+            now >= floor,
+            "rounds/sec regressed >20% against the committed baseline: \
+             {now:.2} < 0.8 * {base:.2}"
+        );
         let cores = host_parallelism();
         if cores >= 4 {
             for sc in &scenarios {

@@ -26,7 +26,8 @@ use collapois_fl::aggregate::{
 };
 use collapois_fl::config::FlConfig;
 use collapois_fl::metrics::{
-    cluster_analysis, population, top_k_percent, ClientMetrics, ClusterReport, PopulationMetrics,
+    cluster_reports, population, top_k_percent, ClientMetrics, ClusterReport, PopulationEval,
+    PopulationMetrics,
 };
 use collapois_fl::monitor::ShiftDetector;
 use collapois_fl::personalize::{
@@ -631,6 +632,16 @@ pub struct RoundMetrics {
     pub attack_success_rate: f64,
 }
 
+/// The population metrics of one evaluation pass after `round` rounds.
+fn round_point(round: usize, clients: &[ClientMetrics]) -> RoundMetrics {
+    let pop = population(clients);
+    RoundMetrics {
+        round,
+        benign_accuracy: pop.benign_ac,
+        attack_success_rate: pop.attack_sr,
+    }
+}
+
 /// Everything a scenario run produces.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
@@ -659,9 +670,11 @@ pub struct ScenarioReport {
     /// Number of trace events folded into `event_hash`.
     pub event_count: u64,
     /// Residency counters of the lazy cohort backing (`None` on eager
-    /// runs). Hit/miss/eviction tallies depend on access order only, so
-    /// they are as deterministic as the run itself; `resident_bytes` is
-    /// what the cohort-scale budget test asserts against.
+    /// runs). Hit/miss/eviction tallies depend on the order of shard
+    /// accesses: they are deterministic at workers = 1 only, since more
+    /// workers reorder evaluation's accesses to the LRU with thread timing
+    /// (the event hash and every metric stay invariant). `resident_bytes`
+    /// is what the cohort-scale budget test asserts against.
     pub shard_stats: Option<ShardStats>,
 }
 
@@ -914,7 +927,11 @@ impl Scenario {
 
         // 6. Round loop with periodic evaluation (starting past any
         // checkpointed rounds when resuming), or the buffered-async
-        // simulator with one final evaluation point.
+        // simulator with one final evaluation point. Every evaluation point
+        // is one pass over the population; the final one also computes the
+        // Eq. 9 cosines (when an attack ran) and becomes the report's
+        // client-level metrics.
+        let cluster_aux = (!compromised.is_empty()).then_some(&aux);
         let start_round = server.rounds_done();
         let mut records = Vec::with_capacity(cfg.rounds.saturating_sub(start_round));
         let mut round_metrics = Vec::new();
@@ -923,52 +940,29 @@ impl Scenario {
             let adv = adversary.as_deref_mut();
             server.run_sim(&plan, cfg.rounds, adv);
             records = round_records_from_events(server.trace_events());
-            let metrics = self.evaluate(&mut server, backdoor, &compromised);
-            let pop = population(&metrics);
-            round_metrics.push(RoundMetrics {
-                round: server.rounds_done(),
-                benign_accuracy: pop.benign_ac,
-                attack_success_rate: pop.attack_sr,
-            });
         } else {
             for t in start_round..cfg.rounds {
                 let adv = adversary.as_deref_mut();
                 records.push(server.run_round(adv));
-                let at_eval = (t + 1) % cfg.eval_every == 0 || t + 1 == cfg.rounds;
-                if at_eval {
-                    let metrics = self.evaluate(&mut server, backdoor, &compromised);
-                    let pop = population(&metrics);
-                    round_metrics.push(RoundMetrics {
-                        round: t + 1,
-                        benign_accuracy: pop.benign_ac,
-                        attack_success_rate: pop.attack_sr,
-                    });
+                if (t + 1) % cfg.eval_every == 0 && t + 1 < cfg.rounds {
+                    let pass = self.evaluate(&mut server, backdoor, &compromised, None);
+                    round_metrics.push(round_point(t + 1, &pass.clients));
                 }
             }
         }
 
+        // The final evaluation point. A resume that finds the run already
+        // complete executes no rounds and lands here too, so downstream
+        // consumers still see final metrics.
+        let PopulationEval {
+            clients,
+            label_cosines,
+        } = self.evaluate(&mut server, backdoor, &compromised, cluster_aux);
+        round_metrics.push(round_point(server.rounds_done(), &clients));
         server.finish_run();
 
-        // A resume that finds the run already complete executes no rounds;
-        // still report one evaluation point so downstream consumers see
-        // final metrics.
-        if round_metrics.is_empty() {
-            let metrics = self.evaluate(&mut server, backdoor, &compromised);
-            let pop = population(&metrics);
-            round_metrics.push(RoundMetrics {
-                round: server.rounds_done(),
-                benign_accuracy: pop.benign_ac,
-                attack_success_rate: pop.attack_sr,
-            });
-        }
-
-        // 7. Final client-level metrics and cluster analysis.
-        let clients = self.evaluate(&mut server, backdoor, &compromised);
-        let clusters = if compromised.is_empty() {
-            Vec::new()
-        } else {
-            cluster_analysis(server.dataset(), &clients, &aux)
-        };
+        // 7. Cluster analysis from the final pass's Eq. 9 cosines.
+        let clusters = label_cosines.map_or_else(Vec::new, |c| cluster_reports(&clients, &c));
 
         let (event_hash, event_count) = hash_canonical_events(server.trace_events());
         let shard_stats = server.dataset().shard_stats();
@@ -993,9 +987,16 @@ impl Scenario {
         server: &mut FlServer,
         backdoor: &dyn BackdoorEval,
         compromised: &[usize],
-    ) -> Vec<ClientMetrics> {
+        aux: Option<&Dataset>,
+    ) -> PopulationEval {
         let spec = self.cfg.model_spec();
-        server.evaluate_clients(&spec, backdoor, self.cfg.trojan.target_class, compromised)
+        server.evaluate_population(
+            &spec,
+            backdoor,
+            self.cfg.trojan.target_class,
+            compromised,
+            aux,
+        )
     }
 
     fn build_personalization(&self) -> Box<dyn Personalization> {

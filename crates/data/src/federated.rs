@@ -12,6 +12,7 @@
 //! [`crate::shard`]). Callers see a single [`FederatedDataset::client`]
 //! accessor either way.
 
+use crate::labels::label_histogram;
 use crate::partition::dirichlet_partition;
 use crate::sample::Dataset;
 use crate::shard::{ResidentShards, ShardSpec, ShardStats};
@@ -47,6 +48,17 @@ impl ClientData {
         out.extend_from(&self.test);
         out.extend_from(&self.val);
         out
+    }
+
+    /// Per-class sample counts over all three splits: the histogram of
+    /// [`ClientData::all`] without building it (counts do not depend on
+    /// sample order).
+    pub fn label_histogram(&self) -> Vec<usize> {
+        let mut counts = label_histogram(&self.train);
+        for &y in self.test.labels().iter().chain(self.val.labels()) {
+            counts[y] += 1;
+        }
+        counts
     }
 
     /// Heap bytes held by the three splits (what the resident-shard byte
@@ -307,6 +319,15 @@ mod tests {
         let f = fed(1.0, 4);
         let c = f.client(2);
         assert_eq!(c.all().len(), c.len());
+    }
+
+    #[test]
+    fn label_histogram_matches_recombined_splits() {
+        let f = fed(0.5, 6);
+        for i in 0..6 {
+            let c = f.client(i);
+            assert_eq!(c.label_histogram(), label_histogram(&c.all()), "client {i}");
+        }
     }
 
     #[test]

@@ -33,7 +33,11 @@ pub fn label_distribution(ds: &Dataset) -> Vec<f64> {
 /// `N_j = Σ_{q<=j} count_q` (raw counts, not normalized — the cosine is
 /// scale-invariant).
 pub fn cumulative_label_distribution(ds: &Dataset) -> Vec<f64> {
-    let counts = label_histogram(ds);
+    cumulative(&label_histogram(ds))
+}
+
+/// Running sums of per-class counts.
+fn cumulative(counts: &[usize]) -> Vec<f64> {
     let mut acc = 0.0;
     counts
         .iter()
@@ -47,9 +51,14 @@ pub fn cumulative_label_distribution(ds: &Dataset) -> Vec<f64> {
 /// Cosine similarity of the cumulative label distributions of two datasets
 /// (the inner term of Eq. 9). Returns 0.0 when either dataset is empty.
 pub fn cumulative_label_cosine(a: &Dataset, b: &Dataset) -> f64 {
-    let pa = cumulative_label_distribution(a);
-    let pb = cumulative_label_distribution(b);
-    cosine_similarity_f64(&pa, &pb).unwrap_or(0.0)
+    cumulative_counts_cosine(&label_histogram(a), &cumulative_label_distribution(b))
+}
+
+/// The inner term of Eq. 9 from per-class `counts` against a precomputed
+/// cumulative distribution `reference` (e.g. `P_CL(D_a)`, built once for a
+/// whole population). Returns 0.0 when either side is empty.
+pub fn cumulative_counts_cosine(counts: &[usize], reference: &[f64]) -> f64 {
+    cosine_similarity_f64(&cumulative(counts), reference).unwrap_or(0.0)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!   cosine to the attacker's auxiliary data.
 
 use collapois_data::federated::FederatedDataset;
-use collapois_data::labels::cumulative_label_cosine;
+use collapois_data::labels::{cumulative_counts_cosine, cumulative_label_distribution};
 use collapois_data::poison::BackdoorEval;
 use collapois_data::sample::Dataset;
 use collapois_nn::model::Sequential;
@@ -60,64 +60,56 @@ pub fn population(metrics: &[ClientMetrics]) -> PopulationMetrics {
     }
 }
 
-/// Evaluates every benign client: Benign AC on its clean test split and
-/// Attack SR on the backdoored eval set the [`BackdoorEval`] derives from it
-/// (trigger-stamped copy for trigger attacks, the clean in-region samples
-/// for semantic attacks), using the parameters produced by
-/// `eval_params(client_id)` (the personalized model). Clients in
-/// `excluded` (the compromised set) are skipped.
-///
-/// Convenience wrapper around [`evaluate_clients_pooled`] that builds a
-/// machine-sized pool and throwaway scratch models per call; round loops
-/// should use the pooled entry point with persistent arenas instead.
-pub fn evaluate_clients<F>(
-    fed: &FederatedDataset,
-    model_spec: &ModelSpec,
-    eval_params: F,
-    backdoor: &dyn BackdoorEval,
-    target_class: usize,
-    excluded: &[usize],
-) -> Vec<ClientMetrics>
-where
-    F: Fn(usize) -> Vec<f32> + Sync,
-{
-    let pool = WorkerPool::auto();
-    let mut arenas = WorkerArenas::new();
-    evaluate_clients_pooled(
-        fed,
-        model_spec,
-        eval_params,
-        backdoor,
-        target_class,
-        excluded,
-        &pool,
-        &mut arenas,
-    )
+/// One evaluation pass over the benign population.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PopulationEval {
+    /// Per-client metrics in ascending client order.
+    pub clients: Vec<ClientMetrics>,
+    /// Each client's Eq. 9 cumulative-label cosine to the auxiliary data,
+    /// parallel to `clients`; `None` when the pass ran without `aux`.
+    pub label_cosines: Option<Vec<f64>>,
 }
 
-/// [`evaluate_clients`] over a caller-owned [`WorkerPool`] with lane-pinned
-/// scratch models that persist across calls (so a round loop's periodic
-/// evaluation reuses the same buffers every pass instead of respawning
-/// threads and rebuilding models). Results are in ascending client order at
-/// any worker count — each client's metrics are a pure function of its id.
+/// Evaluates every benign client in one pass over the population: Benign
+/// AC on its clean test split and Attack SR on the backdoored eval set the
+/// [`BackdoorEval`] derives from it (trigger-stamped copy for trigger
+/// attacks, the clean in-region samples for semantic attacks), using the
+/// parameters produced by `eval_params(client_id)` (the personalized
+/// model). With `aux`, the same pass also computes each client's Eq. 9
+/// cosine to it while the client's data is in hand, so a lazy cohort
+/// renders each shard once per evaluation point and [`cluster_reports`]
+/// needs no second walk.
+///
+/// Clients in `excluded` (the compromised set; any order, duplicates and
+/// out-of-range ids allowed) are skipped. Runs on a caller-owned
+/// [`WorkerPool`] with lane-pinned scratch models that persist across
+/// calls, so a round loop's periodic evaluation reuses the same buffers
+/// every pass. Results are in ascending client order at any worker count —
+/// each client's outcome is a pure function of its id.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_clients_pooled<F>(
+pub fn evaluate_population<F>(
     fed: &FederatedDataset,
     model_spec: &ModelSpec,
     eval_params: F,
     backdoor: &dyn BackdoorEval,
     target_class: usize,
     excluded: &[usize],
+    aux: Option<&Dataset>,
     pool: &WorkerPool,
     arenas: &mut WorkerArenas<Sequential>,
-) -> Vec<ClientMetrics>
+) -> PopulationEval
 where
     F: Fn(usize) -> Vec<f32> + Sync,
 {
-    let ids: Vec<usize> = (0..fed.num_clients())
-        .filter(|id| !excluded.contains(id))
-        .collect();
-    pool.map_with_arena(
+    let mut skip = vec![false; fed.num_clients()];
+    for &id in excluded {
+        if let Some(s) = skip.get_mut(id) {
+            *s = true;
+        }
+    }
+    let ids: Vec<usize> = (0..fed.num_clients()).filter(|&id| !skip[id]).collect();
+    let reference = aux.map(cumulative_label_distribution);
+    let out = pool.map_with_arena(
         arenas,
         ids,
         || {
@@ -130,7 +122,8 @@ where
         |_, id, model| {
             let params = eval_params(id);
             model.set_params(&params);
-            let test = &fed.client(id).test;
+            let client = fed.client(id);
+            let test = &client.test;
             let benign_ac = if test.is_empty() {
                 0.0
             } else {
@@ -147,13 +140,51 @@ where
                 let preds = model.predict(&x);
                 preds.iter().filter(|&&p| p == target_class).count() as f64 / preds.len() as f64
             };
-            ClientMetrics {
+            let label_cosine = reference
+                .as_deref()
+                .map(|r| cumulative_counts_cosine(&client.label_histogram(), r));
+            let metrics = ClientMetrics {
                 client_id: id,
                 benign_ac,
                 attack_sr,
-            }
+            };
+            (metrics, label_cosine)
         },
+    );
+    let (clients, cosines): (Vec<ClientMetrics>, Vec<Option<f64>>) = out.into_iter().unzip();
+    PopulationEval {
+        clients,
+        label_cosines: reference.map(|_| cosines.into_iter().flatten().collect()),
+    }
+}
+
+/// [`evaluate_population`] without the Eq. 9 cosines.
+#[allow(clippy::too_many_arguments)]
+pub fn evaluate_clients_pooled<F>(
+    fed: &FederatedDataset,
+    model_spec: &ModelSpec,
+    eval_params: F,
+    backdoor: &dyn BackdoorEval,
+    target_class: usize,
+    excluded: &[usize],
+    pool: &WorkerPool,
+    arenas: &mut WorkerArenas<Sequential>,
+) -> Vec<ClientMetrics>
+where
+    F: Fn(usize) -> Vec<f32> + Sync,
+{
+    evaluate_population(
+        fed,
+        model_spec,
+        eval_params,
+        backdoor,
+        target_class,
+        excluded,
+        None,
+        pool,
+        arenas,
     )
+    .clients
 }
 
 /// The top `k` percent of clients by Eq. 8 score, descending.
@@ -189,14 +220,45 @@ pub struct ClusterReport {
 /// Splits clients into the paper's exclusive risk clusters (1 %, 25 %, 50 %,
 /// bottom-50 % — each excludes all preceding clusters) and computes each
 /// cluster's `CS_k` against the auxiliary dataset `aux` (Eq. 9).
+///
+/// Reads every client's shard; a run that already evaluated with `aux`
+/// calls [`cluster_reports`] on the pass's cosines instead.
 pub fn cluster_analysis(
     fed: &FederatedDataset,
     metrics: &[ClientMetrics],
     aux: &Dataset,
 ) -> Vec<ClusterReport> {
-    let mut sorted = metrics.to_vec();
-    sorted.sort_by(|a, b| b.score().partial_cmp(&a.score()).expect("finite scores"));
-    let n = sorted.len();
+    let reference = cumulative_label_distribution(aux);
+    let cosines: Vec<f64> = metrics
+        .iter()
+        .map(|m| cumulative_counts_cosine(&fed.client(m.client_id).label_histogram(), &reference))
+        .collect();
+    cluster_reports(metrics, &cosines)
+}
+
+/// [`cluster_analysis`] from precomputed Eq. 9 cosines (`label_cosines[i]`
+/// belongs to `metrics[i]`, as [`PopulationEval`] lays them out). Touches
+/// no client data.
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length.
+pub fn cluster_reports(metrics: &[ClientMetrics], label_cosines: &[f64]) -> Vec<ClusterReport> {
+    assert_eq!(
+        metrics.len(),
+        label_cosines.len(),
+        "one label cosine per client"
+    );
+    // A stable sort of indices by the same key orders clients exactly as a
+    // stable sort of the metrics themselves would.
+    let mut order: Vec<usize> = (0..metrics.len()).collect();
+    order.sort_by(|&a, &b| {
+        metrics[b]
+            .score()
+            .partial_cmp(&metrics[a].score())
+            .expect("finite scores")
+    });
+    let n = order.len();
     let cut = |p: f64| -> usize { ((n as f64) * p / 100.0).round().max(1.0) as usize };
     let bounds = [
         ("1%", 0, cut(1.0)),
@@ -208,20 +270,15 @@ pub fn cluster_analysis(
         .iter()
         .filter(|(_, lo, hi)| hi > lo)
         .map(|&(label, lo, hi)| {
-            let members = &sorted[lo..hi.min(n)];
-            let clients: Vec<usize> = members.iter().map(|m| m.client_id).collect();
-            let mut cos_sum = 0.0;
-            for m in members {
-                let local = fed.client(m.client_id).all();
-                cos_sum += cumulative_label_cosine(&local, aux);
-            }
+            let members = &order[lo..hi.min(n)];
             let len = members.len() as f64;
+            let mean = |f: &dyn Fn(usize) -> f64| members.iter().map(|&i| f(i)).sum::<f64>() / len;
             ClusterReport {
                 label: label.to_string(),
-                label_cosine: cos_sum / len,
-                attack_sr: members.iter().map(|m| m.attack_sr).sum::<f64>() / len,
-                benign_ac: members.iter().map(|m| m.benign_ac).sum::<f64>() / len,
-                clients,
+                clients: members.iter().map(|&i| metrics[i].client_id).collect(),
+                label_cosine: mean(&|i| label_cosines[i]),
+                attack_sr: mean(&|i| metrics[i].attack_sr),
+                benign_ac: mean(&|i| metrics[i].benign_ac),
             }
         })
         .collect()
@@ -230,6 +287,7 @@ pub fn cluster_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collapois_data::labels::cumulative_label_cosine;
     use collapois_data::synthetic::{SyntheticImage, SyntheticImageConfig};
     use collapois_data::trigger::PatchTrigger;
     use rand::rngs::StdRng;
@@ -347,12 +405,97 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let params = spec.build(&mut rng).params();
         let trigger = PatchTrigger::badnets(8);
-        let ms = evaluate_clients(&f, &spec, |_| params.clone(), &trigger, 0, &[0]);
+        let pool = WorkerPool::new(2);
+        let mut arenas = WorkerArenas::new();
+        let ms = evaluate_clients_pooled(
+            &f,
+            &spec,
+            |_| params.clone(),
+            &trigger,
+            0,
+            &[0],
+            &pool,
+            &mut arenas,
+        );
         assert_eq!(ms.len(), 7); // client 0 excluded
         assert!(ms.iter().all(|m| m.client_id != 0));
         for m in &ms {
             assert!((0.0..=1.0).contains(&m.benign_ac));
             assert!((0.0..=1.0).contains(&m.attack_sr));
         }
+    }
+
+    #[test]
+    fn excluded_ids_may_come_in_any_order() {
+        let f = fed();
+        let spec = ModelSpec::mlp(64, &[16], 4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let params = spec.build(&mut rng).params();
+        let trigger = PatchTrigger::badnets(8);
+        let pool = WorkerPool::new(1);
+        let mut arenas = WorkerArenas::new();
+        let mut eval = |excluded: &[usize]| {
+            evaluate_clients_pooled(
+                &f,
+                &spec,
+                |_| params.clone(),
+                &trigger,
+                0,
+                excluded,
+                &pool,
+                &mut arenas,
+            )
+        };
+        let sorted = eval(&[1, 4, 6]);
+        assert_eq!(
+            sorted.iter().map(|m| m.client_id).collect::<Vec<_>>(),
+            vec![0, 2, 3, 5, 7]
+        );
+        // Unsorted, duplicated and out-of-range ids exclude the same set.
+        assert_eq!(eval(&[6, 1, 99, 4, 1]), sorted);
+    }
+
+    #[test]
+    fn one_pass_cosines_match_standalone_cluster_analysis() {
+        let f = fed();
+        let spec = ModelSpec::mlp(64, &[16], 4);
+        let mut rng = StdRng::seed_from_u64(1);
+        let params = spec.build(&mut rng).params();
+        let trigger = PatchTrigger::badnets(8);
+        let aux = f.auxiliary(&[2, 5]);
+        let pool = WorkerPool::new(2);
+        let mut arenas = WorkerArenas::new();
+        let pass = evaluate_population(
+            &f,
+            &spec,
+            |_| params.clone(),
+            &trigger,
+            0,
+            &[5, 2],
+            Some(&aux),
+            &pool,
+            &mut arenas,
+        );
+        let cosines = pass.label_cosines.as_deref().expect("pass ran with aux");
+        for (m, &c) in pass.clients.iter().zip(cosines) {
+            let standalone = cumulative_label_cosine(&f.client(m.client_id).all(), &aux);
+            assert_eq!(c.to_bits(), standalone.to_bits(), "client {}", m.client_id);
+        }
+        // The cosines ride along; the metrics are the plain pass's.
+        let plain = evaluate_clients_pooled(
+            &f,
+            &spec,
+            |_| params.clone(),
+            &trigger,
+            0,
+            &[2, 5],
+            &pool,
+            &mut arenas,
+        );
+        assert_eq!(pass.clients, plain);
+        assert_eq!(
+            cluster_reports(&pass.clients, cosines),
+            cluster_analysis(&f, &pass.clients, &aux)
+        );
     }
 }

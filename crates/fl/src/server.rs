@@ -22,7 +22,7 @@
 
 use crate::aggregate::{Aggregator, FedBuff};
 use crate::config::FlConfig;
-use crate::metrics::{self, ClientMetrics};
+use crate::metrics::{self, ClientMetrics, PopulationEval};
 use crate::monitor::ShiftDetector;
 use crate::personalize::{LocalOutcome, Personalization};
 use crate::profile::PhaseProfile;
@@ -347,16 +347,32 @@ impl FlServer {
         target_class: usize,
         excluded: &[usize],
     ) -> Vec<ClientMetrics> {
+        self.evaluate_population(model_spec, backdoor, target_class, excluded, None)
+            .clients
+    }
+
+    /// [`FlServer::evaluate_clients`] that, given `aux`, also computes
+    /// each benign client's Eq. 9 cosine to it in the same pass over the
+    /// population (see [`metrics::evaluate_population`]).
+    pub fn evaluate_population(
+        &mut self,
+        model_spec: &ModelSpec,
+        backdoor: &dyn BackdoorEval,
+        target_class: usize,
+        excluded: &[usize],
+        aux: Option<&Dataset>,
+    ) -> PopulationEval {
         let eval_start = Instant::now();
         let pers: &dyn Personalization = self.personalization.as_ref();
         let global = &self.global;
-        let out = metrics::evaluate_clients_pooled(
+        let out = metrics::evaluate_population(
             &self.fed,
             model_spec,
             |id| pers.eval_params(id, global),
             backdoor,
             target_class,
             excluded,
+            aux,
             &self.workers,
             &mut self.eval_arenas,
         );

@@ -22,11 +22,20 @@
 //!    bytes-per-client envelope that makes paper-scale populations
 //!    tractable. Release-only: the debug round loop is an order of
 //!    magnitude slower and CI runs this under the `cohort-scale` job.
+//! 4. **One population pass per evaluation point.** The final evaluation
+//!    is the report's client-level metrics, and the same pass computes the
+//!    Eq. 9 cosines the cluster analysis uses, so a run reads each benign
+//!    shard once per evaluation point. Pinned by the shard-miss count at
+//!    workers = 1 (where LRU tallies are deterministic) and by replaying
+//!    the final point and the clusters on the sync, sim and
+//!    resume-complete paths.
 
 use collapois::core::scenario::{
-    AttackKind, CohortMode, DefenseKind, RunOptions, Scenario, ScenarioConfig,
+    auxiliary_data, AttackKind, CohortMode, DefenseKind, RunOptions, Scenario, ScenarioConfig,
+    ScenarioReport, SimKnobs,
 };
 use collapois::data::{Dataset, FederatedDataset};
+use collapois::fl::metrics::{cluster_analysis, population};
 
 /// FNV-1a over the little-endian `f32` bit patterns.
 fn fnv1a_params(params: &[f32]) -> u64 {
@@ -183,4 +192,99 @@ fn four_thousand_client_run_stays_within_the_shard_budget() {
         stats.evictions > 0,
         "a 64 MB budget cannot hold 4096 shards without evicting (stats: {stats:?})"
     );
+}
+
+#[test]
+fn one_evaluation_point_renders_each_shard_at_most_once() {
+    let mut cfg = ScenarioConfig::quick_image(1.0, 0.05);
+    cfg.num_clients = 160;
+    cfg.samples_per_client = 32;
+    cfg.rounds = 2;
+    cfg.eval_every = 2; // the final point is the only one
+    cfg.sample_rate = 0.1;
+    cfg.trojan.epochs = 2;
+    cfg.attack = AttackKind::CollaPois;
+    cfg.cohort = CohortMode::Lazy;
+    cfg.shard_budget_mb = 1; // ~18 KB shards: holds ~55 of 160 clients
+
+    let report = Scenario::new(cfg.clone()).run_with(&RunOptions {
+        workers: 1,
+        ..RunOptions::default()
+    });
+    let stats = report.shard_stats.expect("an explicitly lazy run");
+    assert!(
+        stats.evictions > 0,
+        "the budget must hold fewer shards than the population (stats: {stats:?})"
+    );
+    assert!(
+        !report.clusters.is_empty(),
+        "an attacked run reports clusters"
+    );
+    // Set-up touches the compromised clients, training touches each
+    // round's cohort, and the one evaluation pass touches every benign
+    // client; a second walk of the population would blow this bound.
+    let max_cohort = report
+        .records
+        .iter()
+        .map(|r| r.sampled.len())
+        .max()
+        .expect("rounds ran");
+    let bound = (cfg.num_clients + cfg.rounds * max_cohort) as u64;
+    assert!(
+        stats.misses <= bound,
+        "{} shard misses exceed one population pass ({bound})",
+        stats.misses
+    );
+}
+
+/// The final evaluation point is `report.clients`, and the clusters equal
+/// a standalone `cluster_analysis` over a fresh copy of the cohort.
+fn assert_final_point_is_the_report(cfg: &ScenarioConfig, report: &ScenarioReport, path: &str) {
+    let last = report.rounds.last().expect("one evaluation point");
+    let pop = population(&report.clients);
+    assert_eq!(last.benign_accuracy, pop.benign_ac, "{path}: benign AC");
+    assert_eq!(last.attack_success_rate, pop.attack_sr, "{path}: attack SR");
+    assert_eq!(pop.clients, cfg.num_clients - report.compromised.len());
+    let fed = FederatedDataset::lazy(cfg.shard_spec(), cfg.num_clients, cfg.shard_budget_bytes());
+    let aux = auxiliary_data(&fed, &report.compromised);
+    assert!(!report.clusters.is_empty(), "{path}: clusters");
+    assert_eq!(
+        report.clusters,
+        cluster_analysis(&fed, &report.clients, &aux),
+        "{path}: clusters"
+    );
+}
+
+#[test]
+fn final_evaluation_is_the_report_on_sync_sim_and_resume_paths() {
+    let cfg = lazy_cfg();
+    let sync = Scenario::new(cfg.clone()).run();
+    assert_final_point_is_the_report(&cfg, &sync, "sync");
+
+    let sim = Scenario::new(cfg.clone()).run_with(&RunOptions {
+        sim: Some(SimKnobs {
+            buffer_k: 8,
+            ..SimKnobs::default()
+        }),
+        ..RunOptions::default()
+    });
+    assert_final_point_is_the_report(&cfg, &sim, "sim");
+
+    let dir = std::env::temp_dir().join(format!("collapois-one-pass-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ckpt = RunOptions {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        ..RunOptions::default()
+    };
+    Scenario::new(cfg.clone()).run_with(&ckpt);
+    let resumed = Scenario::new(cfg.clone()).run_with(&RunOptions {
+        resume: true,
+        ..ckpt
+    });
+    assert!(resumed.records.is_empty(), "the resumed run was complete");
+    assert_final_point_is_the_report(&cfg, &resumed, "resume-complete");
+    assert_eq!(resumed.clients, sync.clients);
+    assert_eq!(resumed.clusters, sync.clusters);
+    let _ = std::fs::remove_dir_all(&dir);
 }
