@@ -22,6 +22,7 @@ use collapois_fl::update::ClientUpdate;
 use collapois_nn::optim::Sgd;
 use collapois_nn::tensor::Tensor;
 use collapois_nn::zoo::ModelSpec;
+use collapois_runtime::pool::WorkerPool;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,10 +53,15 @@ fn bench_aggregators(c: &mut Criterion) {
         ("signsgd", Box::new(SignSgd::new(0.01))),
         ("flare", Box::new(Flare::new(4.0))),
     ];
+    let pool = WorkerPool::new(1);
+    let mut out = vec![0.0f32; dim];
     for (name, agg) in &mut cases {
-        group.bench_function(*name, |b| {
+        group.bench_function(name, |b| {
             let mut rng = StdRng::seed_from_u64(7);
-            b.iter(|| black_box(agg.aggregate(black_box(&updates), dim, &mut rng)));
+            b.iter(|| {
+                agg.aggregate(black_box(&updates), &mut out, &mut rng, &pool);
+                black_box(&out);
+            });
         });
     }
     group.finish();

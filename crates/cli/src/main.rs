@@ -13,7 +13,6 @@
 //!                 [--sim true] [--sim-arrival-ms A] [--sim-train-ms T]
 //!                 [--sim-buffer K] [--sim-deadline-ms D] [--sim-decay P]
 //!                 [--sim-up-ms U] [--sim-down-ms D] [--sim-concurrency C]
-//! collapois sweep [--attack ...] [--defense ...] [--algo ...] — alpha sweep
 //! collapois grid  SCENARIOS.toml [--out REPORT.jsonl] [--workers W]
 //!                 [--fresh true] [--limit N] [--list true] — scenario matrix
 //! collapois bound [--a 0.9] [--b 1.0] [--clients N] — Theorem 1 table
@@ -57,7 +56,6 @@ fn run(argv: &[String]) -> Result<(), String> {
     }
     match args.command.as_deref() {
         Some("run") => cmd_run(&args),
-        Some("sweep") => cmd_sweep(&args),
         Some("grid") => cmd_grid(&args),
         Some("bound") => cmd_bound(&args),
         Some("trace") => cmd_trace(&args),
@@ -74,7 +72,6 @@ fn print_help() {
         "collapois — CollaPois reproduction experiment runner\n\n\
          commands:\n\
          \u{20}  run    run one scenario (attack x defense x FL algorithm)\n\
-         \u{20}  sweep  sweep the Dirichlet alpha for a fixed configuration\n\
          \u{20}  grid   run a declarative scenario matrix from a TOML file\n\
          \u{20}  bound  print Theorem 1's |C| lower-bound table\n\
          \u{20}  trace  inspect a structured run trace (--file RUN.jsonl)\n\
@@ -411,36 +408,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!(
             "\nper-round profile: {}",
             report.profile.per_round_summary()
-        );
-    }
-    Ok(())
-}
-
-fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let base = build_config(args)?;
-    // The sweep honors --workers; per-run trace/checkpoint paths would
-    // overwrite each other across alphas, so only the thread knob applies.
-    let opts = RunOptions {
-        workers: build_run_options(args)?.workers,
-        ..RunOptions::default()
-    };
-    println!(
-        "alpha sweep: attack={} defense={} algo={}",
-        base.attack.name(),
-        base.defense.name(),
-        base.algo.name()
-    );
-    println!("{:<8} {:>10} {:>10}", "alpha", "benign AC", "attack SR");
-    for alpha in [0.01, 0.1, 1.0, 10.0, 100.0] {
-        let mut cfg = base.clone();
-        cfg.alpha = alpha;
-        let report = Scenario::new(cfg).run_with(&opts);
-        let last = report.final_round();
-        println!(
-            "{:<8} {:>9.2}% {:>9.2}%",
-            alpha,
-            100.0 * last.benign_accuracy,
-            100.0 * last.attack_success_rate
         );
     }
     Ok(())

@@ -892,10 +892,10 @@ impl Scenario {
         let personalization = self.build_personalization();
         let mut server = FlServer::new(fl_cfg, fed, aggregator, personalization);
         server.collect_updates(cfg.collect_updates);
-        // Fine-Pruning runs inside the synchronous round loop; the
-        // buffered-async simulator has no post-aggregation hook, so the
-        // defense is inert there (documented limitation shared by the
-        // monitor and checkpointing).
+        // Fine-Pruning runs inside the synchronous rounds only: the
+        // buffered-async simulator aggregates with FedBuff regardless of
+        // the configured defense (checkpointing is likewise sync-only; the
+        // monitor watches both modes).
         if cfg.defense == DefenseKind::FinePrune && opts.sim.is_none() {
             let p = &cfg.defense_params;
             server.enable_fine_pruning(p.fp_fraction, p.fp_every);

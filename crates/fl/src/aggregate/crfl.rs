@@ -7,8 +7,9 @@
 //! [`Aggregator::post_process`].
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
 use collapois_nn::kernels;
+use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::standard_normal;
 use rand::rngs::StdRng;
 
@@ -40,8 +41,14 @@ impl Aggregator for Crfl {
         "crfl"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        mean_delta(updates, dim)
+    fn aggregate(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
+        mean_delta_pooled_into(updates, out, &mut Vec::new(), pool);
     }
 
     fn post_process(&mut self, global: &mut [f32], rng: &mut StdRng) {
@@ -60,7 +67,7 @@ impl Aggregator for Crfl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use collapois_stats::geometry::l2_norm;
     use rand::SeedableRng;
 
@@ -69,7 +76,7 @@ mod tests {
         let mut agg = Crfl::new(10.0, 0.0);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[2.0], &[4.0]]);
-        assert_eq!(agg.aggregate(&us, 1, &mut rng), vec![3.0]);
+        assert_eq!(aggregate(&mut agg, &us, 1, &mut rng), vec![3.0]);
     }
 
     #[test]

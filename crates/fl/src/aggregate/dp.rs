@@ -5,7 +5,8 @@
 //! `z·S/|S_t|` where `z` is the noise multiplier (user-level DP accounting).
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
+use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::standard_normal;
 use collapois_stats::geometry::clip_to_norm;
 use rand::rngs::StdRng;
@@ -46,7 +47,13 @@ impl Aggregator for DpAggregator {
         "dp"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
+    fn aggregate(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
         let clipped: Vec<ClientUpdate> = updates
             .iter()
             .map(|u| {
@@ -55,21 +62,20 @@ impl Aggregator for DpAggregator {
                 ClientUpdate::new(u.client_id, delta, u.num_samples)
             })
             .collect();
-        let mut agg = mean_delta(&clipped, dim);
+        mean_delta_pooled_into(&clipped, out, &mut Vec::new(), pool);
         if self.noise_multiplier > 0.0 && !updates.is_empty() {
             let sigma = (self.noise_multiplier * self.clip / updates.len() as f64) as f32;
-            for v in &mut agg {
+            for v in out.iter_mut() {
                 *v += sigma * standard_normal(rng) as f32;
             }
         }
-        agg
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use collapois_stats::geometry::l2_norm;
     use rand::SeedableRng;
 
@@ -78,7 +84,7 @@ mod tests {
         let mut agg = DpAggregator::new(1.0, 0.0);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[100.0, 0.0], &[0.0, 100.0]]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!(l2_norm(&out) <= 1.0 + 1e-6);
     }
 
@@ -90,8 +96,8 @@ mod tests {
         let many: Vec<Vec<f32>> = (0..50).map(|_| zeros.clone()).collect();
         let big = updates(&many.iter().map(|v| v.as_slice()).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(1);
-        let a = agg.aggregate(&small, 1000, &mut rng);
-        let b = agg.aggregate(&big, 1000, &mut rng);
+        let a = aggregate(&mut agg, &small, 1000, &mut rng);
+        let b = aggregate(&mut agg, &big, 1000, &mut rng);
         assert!(
             l2_norm(&a) > l2_norm(&b),
             "noise must shrink with cohort size"
@@ -102,6 +108,6 @@ mod tests {
     fn empty_round_is_zero() {
         let mut agg = DpAggregator::new(1.0, 1.0);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(agg.aggregate(&[], 3, &mut rng), vec![0.0; 3]);
+        assert_eq!(aggregate(&mut agg, &[], 3, &mut rng), vec![0.0; 3]);
     }
 }

@@ -1,7 +1,7 @@
 //! FedAvg: plain uniform averaging (Eq. 2 of the paper).
 
 use super::Aggregator;
-use crate::update::{mean_delta_into, mean_delta_pooled_into, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
 use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
@@ -27,17 +27,7 @@ impl Aggregator for FedAvg {
         "fedavg"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        self.aggregate_into(updates, &mut out, rng);
-        out
-    }
-
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], _rng: &mut StdRng) {
-        mean_delta_into(updates, out, &mut self.acc);
-    }
-
-    fn aggregate_pooled(
+    fn aggregate(
         &mut self,
         updates: &[ClientUpdate],
         out: &mut [f32],
@@ -51,7 +41,7 @@ impl Aggregator for FedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use rand::SeedableRng;
 
     #[test]
@@ -59,18 +49,18 @@ mod tests {
         let mut agg = FedAvg::new();
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[2.0, 0.0], &[0.0, 2.0]]);
-        assert_eq!(agg.aggregate(&us, 2, &mut rng), vec![1.0, 1.0]);
+        assert_eq!(aggregate(&mut agg, &us, 2, &mut rng), vec![1.0, 1.0]);
     }
 
     #[test]
     fn empty_round_is_zero() {
         let mut agg = FedAvg::new();
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(agg.aggregate(&[], 3, &mut rng), vec![0.0; 3]);
+        assert_eq!(aggregate(&mut agg, &[], 3, &mut rng), vec![0.0; 3]);
     }
 
     #[test]
-    fn pooled_mean_matches_serial_bitwise() {
+    fn mean_is_worker_count_invariant() {
         let us: Vec<ClientUpdate> = (0..17)
             .map(|i| {
                 let delta: Vec<f32> = (0..6).map(|j| ((i + j * 19) as f32).sin()).collect();
@@ -79,11 +69,11 @@ mod tests {
             .collect();
         let mut agg = FedAvg::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let serial = agg.aggregate(&us, 6, &mut rng);
-        for workers in [1, 2, 4, 8] {
+        let serial = aggregate(&mut agg, &us, 6, &mut rng);
+        for workers in [2, 4, 8] {
             let pool = WorkerPool::new(workers);
             let mut out = vec![0.0f32; 6];
-            agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
+            agg.aggregate(&us, &mut out, &mut rng, &pool);
             let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "workers={workers}");
@@ -95,6 +85,6 @@ mod tests {
         let mut agg = FedAvg::new();
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0, -2.0, 3.0]]);
-        assert_eq!(agg.aggregate(&us, 3, &mut rng), vec![1.0, -2.0, 3.0]);
+        assert_eq!(aggregate(&mut agg, &us, 3, &mut rng), vec![1.0, -2.0, 3.0]);
     }
 }

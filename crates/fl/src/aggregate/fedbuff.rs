@@ -7,15 +7,19 @@
 //! passes. A completion that fetched version `v` and lands when the server
 //! is at version `v + s` is *s-stale*; FedBuff discounts it by
 //! `w = (1 + s)^(-a)` and applies the weighted mean
-//! `Δ = Σ wᵢ·Δθᵢ / Σ wᵢ`.
+//! `Δ = Σ wᵢ·Δθᵢ / Σ wᵢ`. Each [`ClientUpdate`] carries its staleness;
+//! a synchronous round's updates are all 0-stale, and then FedBuff is
+//! exactly FedAvg.
 //!
 //! The merge reuses the engine's fixed-shape pooled reduction tree
 //! ([`crate::update::weighted_mean_delta_pooled_into`]), so it is bitwise
 //! identical at every worker count — the property the sim's determinism
 //! guarantee leans on.
 
+use super::Aggregator;
 use crate::update::{weighted_mean_delta_pooled_into, ClientUpdate};
 use collapois_runtime::pool::WorkerPool;
+use rand::rngs::StdRng;
 
 /// FedBuff's default staleness exponent.
 pub const DEFAULT_STALENESS_DECAY: f64 = 0.5;
@@ -45,40 +49,33 @@ impl FedBuff {
         }
     }
 
-    /// Short name for traces and report tables.
-    pub fn name(&self) -> &'static str {
-        "fedbuff"
-    }
-
     /// The configured staleness exponent.
     pub fn decay(&self) -> f64 {
         self.decay
     }
+}
+
+impl Aggregator for FedBuff {
+    fn name(&self) -> &'static str {
+        "fedbuff"
+    }
 
     /// Merges one flushed buffer: `out = Σ wᵢ·Δθᵢ / Σ wᵢ` with
-    /// `wᵢ = (1 + staleness[i])^(-decay)`, fanned over `pool` through the
+    /// `wᵢ = (1 + staleness_i)^(-decay)`, fanned over `pool` through the
     /// fixed-shape reduction tree (bitwise worker-count-invariant).
-    /// Writes zeros when `updates` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `staleness.len() != updates.len()` or any update's
-    /// dimension differs from `out.len()`.
-    pub fn merge_pooled(
+    fn aggregate(
         &mut self,
         updates: &[ClientUpdate],
-        staleness: &[u64],
         out: &mut [f32],
+        _rng: &mut StdRng,
         pool: &WorkerPool,
     ) {
-        assert_eq!(
-            staleness.len(),
-            updates.len(),
-            "one staleness per update required"
-        );
         self.weights.clear();
-        self.weights
-            .extend(staleness.iter().map(|&s| staleness_weight(s, self.decay)));
+        self.weights.extend(
+            updates
+                .iter()
+                .map(|u| staleness_weight(u.staleness, self.decay)),
+        );
         weighted_mean_delta_pooled_into(updates, &self.weights, out, &mut self.acc, pool);
     }
 }
@@ -86,14 +83,9 @@ impl FedBuff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::mean_delta;
-
-    fn updates(vs: &[&[f32]]) -> Vec<ClientUpdate> {
-        vs.iter()
-            .enumerate()
-            .map(|(i, v)| ClientUpdate::new(i, v.to_vec(), 10))
-            .collect()
-    }
+    use crate::aggregate::testutil::{aggregate, updates};
+    use crate::aggregate::FedAvg;
+    use rand::SeedableRng;
 
     #[test]
     fn weight_decays_with_staleness() {
@@ -106,55 +98,64 @@ mod tests {
     }
 
     #[test]
-    fn fresh_buffer_matches_uniform_mean_bitwise() {
-        let us = updates(&[&[1.0, 2.0, 3.0], &[3.0, 0.0, -1.0], &[-2.0, 4.0, 0.5]]);
-        let pool = WorkerPool::new(1);
-        let mut fb = FedBuff::new(DEFAULT_STALENESS_DECAY);
-        let mut out = vec![0.0f32; 3];
-        fb.merge_pooled(&us, &[0, 0, 0], &mut out, &pool);
-        let uniform = mean_delta(&us, 3);
-        let a: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = uniform.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b, "all-fresh buffers must merge as plain FedAvg");
+    fn fresh_updates_match_fedavg_bitwise() {
+        // A synchronous round is a flush in which every update is 0-stale:
+        // FedBuff must then aggregate exactly as FedAvg, at every worker
+        // count.
+        let us: Vec<ClientUpdate> = (0..21)
+            .map(|i| ClientUpdate::new(i, (0..9).map(|j| ((i * 5 + j) as f32).cos()).collect(), 1))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0);
+        for workers in [1usize, 2, 4, 8] {
+            let pool = WorkerPool::new(workers);
+            let mut fedbuff = vec![0.0f32; 9];
+            FedBuff::new(DEFAULT_STALENESS_DECAY).aggregate(&us, &mut fedbuff, &mut rng, &pool);
+            let mut fedavg = vec![0.0f32; 9];
+            FedAvg::new().aggregate(&us, &mut fedavg, &mut rng, &pool);
+            let a: Vec<u32> = fedbuff.iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u32> = fedavg.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                a, b,
+                "all-fresh updates must merge as FedAvg (workers={workers})"
+            );
+        }
     }
 
     #[test]
     fn stale_updates_are_discounted() {
-        let us = updates(&[&[1.0], &[-1.0]]);
-        let pool = WorkerPool::new(1);
-        let mut fb = FedBuff::new(1.0);
-        let mut out = vec![0.0f32; 1];
         // Second update is 3-stale: w = 1/4; merge = (1 - 0.25)/(1.25).
-        fb.merge_pooled(&us, &[0, 3], &mut out, &pool);
+        let mut us = updates(&[&[1.0], &[-1.0]]);
+        us[1].staleness = 3;
+        let mut rng = StdRng::seed_from_u64(0);
+        let out = aggregate(&mut FedBuff::new(1.0), &us, 1, &mut rng);
         assert!((out[0] - 0.6).abs() < 1e-6, "got {}", out[0]);
     }
 
     #[test]
     fn merge_is_worker_count_invariant() {
-        let us: Vec<ClientUpdate> = (0..21)
+        let mut us: Vec<ClientUpdate> = (0..21)
             .map(|i| ClientUpdate::new(i, (0..9).map(|j| ((i * 3 + j) as f32).sin()).collect(), 1))
             .collect();
-        let staleness: Vec<u64> = (0..21).map(|i| (i % 5) as u64).collect();
-        let mut reference: Option<Vec<u32>> = None;
-        for workers in [1usize, 2, 4, 8] {
+        for (i, u) in us.iter_mut().enumerate() {
+            u.staleness = (i % 5) as u64;
+        }
+        let mut rng = StdRng::seed_from_u64(0);
+        let serial = aggregate(&mut FedBuff::new(0.5), &us, 9, &mut rng);
+        for workers in [2usize, 4, 8] {
             let pool = WorkerPool::new(workers);
-            let mut fb = FedBuff::new(0.5);
             let mut out = vec![0.0f32; 9];
-            fb.merge_pooled(&us, &staleness, &mut out, &pool);
-            let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            match &reference {
-                None => reference = Some(bits),
-                Some(r) => assert_eq!(r, &bits, "workers={workers}"),
-            }
+            FedBuff::new(0.5).aggregate(&us, &mut out, &mut rng, &pool);
+            let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "workers={workers}");
         }
     }
 
     #[test]
     fn empty_buffer_merges_to_zero() {
-        let pool = WorkerPool::new(1);
-        let mut fb = FedBuff::new(0.5);
+        let mut rng = StdRng::seed_from_u64(0);
         let mut out = vec![7.0f32; 4];
-        fb.merge_pooled(&[], &[], &mut out, &pool);
+        FedBuff::new(0.5).aggregate(&[], &mut out, &mut rng, &WorkerPool::new(1));
         assert_eq!(out, vec![0.0; 4]);
     }
 }

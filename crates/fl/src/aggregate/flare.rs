@@ -9,6 +9,7 @@
 use super::Aggregator;
 use crate::update::ClientUpdate;
 use collapois_nn::kernels;
+use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// Trust-weighted aggregation with softmax over negative mean pairwise
@@ -74,23 +75,28 @@ impl Aggregator for Flare {
         "flare"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        if updates.is_empty() {
-            return vec![0.0; dim];
-        }
+    fn aggregate(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        _pool: &WorkerPool,
+    ) {
         let trust = self.trust_scores(updates);
-        let mut acc = vec![0.0f64; dim];
+        let mut acc = vec![0.0f64; out.len()];
         for (u, &w) in updates.iter().zip(&trust) {
             kernels::acc_scaled(&mut acc, &u.delta, w);
         }
-        acc.into_iter().map(|a| a as f32).collect()
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = a as f32;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use rand::SeedableRng;
 
     #[test]
@@ -107,7 +113,7 @@ mod tests {
         let mut agg = Flare::new(4.0);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[0.0], &[0.1], &[0.05], &[100.0]]);
-        let out = agg.aggregate(&us, 1, &mut rng);
+        let out = aggregate(&mut agg, &us, 1, &mut rng);
         assert!(out[0] < 10.0, "outlier dominated: {}", out[0]);
     }
 
@@ -125,8 +131,8 @@ mod tests {
     fn degenerate_inputs() {
         let mut agg = Flare::new(1.0);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(agg.aggregate(&[], 2, &mut rng), vec![0.0; 2]);
+        assert_eq!(aggregate(&mut agg, &[], 2, &mut rng), vec![0.0; 2]);
         let single = updates(&[&[3.0]]);
-        assert_eq!(agg.aggregate(&single, 1, &mut rng), vec![3.0]);
+        assert_eq!(aggregate(&mut agg, &single, 1, &mut rng), vec![3.0]);
     }
 }

@@ -46,32 +46,12 @@ impl Krum {
 
     /// Krum scores for each update (lower = more central).
     ///
-    /// The pairwise squared distances are computed once per unordered pair
-    /// through the blocked kernel layer and mirrored; each score sorts its
-    /// row and sums the `k` nearest in ascending order, so scores are
-    /// exactly stable under client reordering.
-    pub fn scores(&self, updates: &[ClientUpdate]) -> Vec<f64> {
-        let n = updates.len();
-        let k = self.neighbours(n);
-        let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
-        let d2 = kernels::pairwise_sq_distances(&deltas);
-        let mut scores = Vec::with_capacity(n);
-        let mut dists = Vec::with_capacity(n.saturating_sub(1));
-        for i in 0..n {
-            dists.clear();
-            dists.extend((0..n).filter(|&j| j != i).map(|j| d2[i * n + j]));
-            dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-            scores.push(dists.iter().take(k).sum());
-        }
-        scores
-    }
-
-    /// Row-sharded [`Krum::scores`]: each score depends only on its own row
-    /// of the distance matrix, so rows fan out over `pool`'s lanes into
-    /// per-lane scratch. Bitwise identical to the serial path — the
-    /// distance kernel is exactly symmetric, so recomputing a row equals
-    /// mirroring the triangle.
-    pub fn scores_pooled(&self, updates: &[ClientUpdate], pool: &WorkerPool) -> Vec<f64> {
+    /// Each score depends only on its own row of the pairwise squared
+    /// distance matrix, so rows fan out over `pool`'s lanes into per-lane
+    /// scratch; each row is sorted and its `k` nearest summed in ascending
+    /// order, so scores are exactly stable under client reordering and
+    /// bitwise identical at every worker count.
+    pub fn scores(&self, updates: &[ClientUpdate], pool: &WorkerPool) -> Vec<f64> {
         let n = updates.len();
         let k = self.neighbours(n);
         let deltas: Vec<&[f32]> = updates.iter().map(|u| u.delta.as_slice()).collect();
@@ -129,7 +109,7 @@ impl Krum {
     }
 }
 
-/// Per-lane scratch for [`Krum::scores_pooled`]: one distance row plus the
+/// Per-lane scratch for [`Krum::scores`]: one distance row plus the
 /// sort buffer, reused across the lane's rows.
 struct RowScratch {
     row: Vec<f64>,
@@ -145,20 +125,7 @@ impl Aggregator for Krum {
         }
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        if updates.is_empty() {
-            return vec![0.0; dim];
-        }
-        if updates.len() == 1 {
-            return updates[0].delta.clone();
-        }
-        let scores = self.scores(updates);
-        let mut out = vec![0.0f32; dim];
-        self.select_and_average(updates, &scores, &mut out);
-        out
-    }
-
-    fn aggregate_pooled(
+    fn aggregate(
         &mut self,
         updates: &[ClientUpdate],
         out: &mut [f32],
@@ -173,7 +140,7 @@ impl Aggregator for Krum {
             out.copy_from_slice(&updates[0].delta);
             return;
         }
-        let scores = self.scores_pooled(updates, pool);
+        let scores = self.scores(updates, pool);
         self.select_and_average(updates, &scores, out);
     }
 }
@@ -181,7 +148,7 @@ impl Aggregator for Krum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use rand::SeedableRng;
 
     #[test]
@@ -189,7 +156,7 @@ mod tests {
         let mut agg = Krum::new(1);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[0.0, 0.0], &[0.1, 0.1], &[0.05, 0.0], &[9.0, 9.0]]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!(
             us.iter().any(|u| u.delta == out),
             "krum must select an input"
@@ -202,7 +169,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         // Three clustered benign updates, one far-away malicious one.
         let us = updates(&[&[0.0, 0.0], &[0.1, 0.1], &[0.05, 0.0], &[9.0, 9.0]]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!(out[0] < 1.0, "outlier must not be selected: {out:?}");
     }
 
@@ -220,7 +187,7 @@ mod tests {
             &[-4.0, 1.0],
             &[3.0, -3.0], // scattered benign
         ]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert_eq!(out, vec![5.0, 5.0]);
     }
 
@@ -229,12 +196,12 @@ mod tests {
         let mut agg = Krum::multi(0, 2);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[0.0, 0.0], &[1.0, 1.0], &[100.0, 100.0]]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert_eq!(out, vec![0.5, 0.5]);
     }
 
     #[test]
-    fn pooled_scores_and_aggregate_match_serial_bitwise() {
+    fn scores_and_aggregate_are_worker_count_invariant() {
         let mut rng = StdRng::seed_from_u64(3);
         let us: Vec<ClientUpdate> = (0..13)
             .map(|i| {
@@ -243,16 +210,16 @@ mod tests {
             })
             .collect();
         let mut agg = Krum::multi(2, 3);
-        let serial_scores = agg.scores(&us);
-        let serial = agg.aggregate(&us, 9, &mut rng);
-        for workers in [1, 2, 4, 8] {
+        let serial_scores = agg.scores(&us, &WorkerPool::new(1));
+        let serial = aggregate(&mut agg, &us, 9, &mut rng);
+        for workers in [2, 4, 8] {
             let pool = WorkerPool::new(workers);
-            let pooled_scores = agg.scores_pooled(&us, &pool);
+            let pooled_scores = agg.scores(&us, &pool);
             let s: Vec<u64> = serial_scores.iter().map(|v| v.to_bits()).collect();
             let p: Vec<u64> = pooled_scores.iter().map(|v| v.to_bits()).collect();
             assert_eq!(s, p, "scores diverge at workers={workers}");
             let mut out = vec![0.0f32; 9];
-            agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
+            agg.aggregate(&us, &mut out, &mut rng, &pool);
             let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "aggregate diverges at workers={workers}");
@@ -263,8 +230,8 @@ mod tests {
     fn degenerate_inputs() {
         let mut agg = Krum::new(1);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(agg.aggregate(&[], 2, &mut rng), vec![0.0, 0.0]);
+        assert_eq!(aggregate(&mut agg, &[], 2, &mut rng), vec![0.0, 0.0]);
         let single = updates(&[&[2.0, 3.0]]);
-        assert_eq!(agg.aggregate(&single, 2, &mut rng), vec![2.0, 3.0]);
+        assert_eq!(aggregate(&mut agg, &single, 2, &mut rng), vec![2.0, 3.0]);
     }
 }

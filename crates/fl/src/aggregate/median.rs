@@ -1,6 +1,6 @@
 //! Coordinate-wise median [Yin et al., ICML 2018].
 
-use super::{coordinate_shard, fill_coordinate, Aggregator, COORD_SHARD};
+use super::{coordinate_shard, Aggregator, COORD_SHARD};
 use crate::update::ClientUpdate;
 use collapois_nn::kernels;
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
@@ -16,7 +16,6 @@ use rand::rngs::StdRng;
 /// gather buffers — bitwise exact because coordinates are independent.
 #[derive(Debug, Default)]
 pub struct CoordinateMedian {
-    scratch: Vec<f32>,
     /// Per-lane gather buffers for the sharded path.
     arenas: WorkerArenas<Vec<f32>>,
 }
@@ -33,24 +32,7 @@ impl Aggregator for CoordinateMedian {
         "median"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        self.aggregate_into(updates, &mut out, rng);
-        out
-    }
-
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], _rng: &mut StdRng) {
-        if updates.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        for (c, slot) in out.iter_mut().enumerate() {
-            fill_coordinate(updates, c, &mut self.scratch);
-            *slot = kernels::median_inplace(&mut self.scratch);
-        }
-    }
-
-    fn aggregate_pooled(
+    fn aggregate(
         &mut self,
         updates: &[ClientUpdate],
         out: &mut [f32],
@@ -78,7 +60,7 @@ impl Aggregator for CoordinateMedian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use rand::SeedableRng;
 
     #[test]
@@ -86,7 +68,7 @@ mod tests {
         let mut agg = CoordinateMedian::new();
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0], &[2.0], &[1000.0]]);
-        assert_eq!(agg.aggregate(&us, 1, &mut rng), vec![2.0]);
+        assert_eq!(aggregate(&mut agg, &us, 1, &mut rng), vec![2.0]);
     }
 
     #[test]
@@ -94,7 +76,7 @@ mod tests {
         let mut agg = CoordinateMedian::new();
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0, -4.0], &[3.0, 0.0], &[2.0, -2.0], &[5.0, 1.0]]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!(out[0] >= 1.0 && out[0] <= 5.0);
         assert!(out[1] >= -4.0 && out[1] <= 1.0);
     }
@@ -104,18 +86,18 @@ mod tests {
         let mut agg = CoordinateMedian::new();
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0], &[4.0], &[2.0], &[3.0]]);
-        assert_eq!(agg.aggregate(&us, 1, &mut rng), vec![2.5]);
+        assert_eq!(aggregate(&mut agg, &us, 1, &mut rng), vec![2.5]);
     }
 
     #[test]
     fn empty_round_is_zero() {
         let mut agg = CoordinateMedian::new();
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(agg.aggregate(&[], 2, &mut rng), vec![0.0; 2]);
+        assert_eq!(aggregate(&mut agg, &[], 2, &mut rng), vec![0.0; 2]);
     }
 
     #[test]
-    fn pooled_shards_match_serial_bitwise() {
+    fn shards_are_worker_count_invariant() {
         let dim = 520;
         let us: Vec<ClientUpdate> = (0..9)
             .map(|i| {
@@ -125,11 +107,11 @@ mod tests {
             .collect();
         let mut agg = CoordinateMedian::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let serial = agg.aggregate(&us, dim, &mut rng);
-        for workers in [1, 2, 4, 8] {
+        let serial = aggregate(&mut agg, &us, dim, &mut rng);
+        for workers in [2, 4, 8] {
             let pool = WorkerPool::new(workers);
             let mut out = vec![0.0f32; dim];
-            agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
+            agg.aggregate(&us, &mut out, &mut rng, &pool);
             let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "workers={workers}");

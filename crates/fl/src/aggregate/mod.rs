@@ -42,49 +42,27 @@ pub trait Aggregator: std::fmt::Debug + Send {
     /// Short name for report tables.
     fn name(&self) -> &'static str;
 
-    /// Aggregates the round's updates into one delta of length `dim`.
-    /// Must return a zero vector when `updates` is empty.
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32>;
-
-    /// In-place aggregation: writes the aggregated delta into `out`
-    /// (whose length is the parameter dimension). The default forwards to
-    /// [`Aggregator::aggregate`] and copies; rules on the steady-state hot
-    /// path (FedAvg) override this to reuse internal accumulators and write
-    /// straight into the borrowed slice. Both paths must produce bitwise
-    /// identical results.
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], rng: &mut StdRng) {
-        let v = self.aggregate(updates, out.len(), rng);
-        out.copy_from_slice(&v);
-    }
-
-    /// Parallel [`Aggregator::aggregate_into`]: rules with shardable inner
-    /// loops (FedAvg's reduction tree, NormBound's clip-average, Krum's
-    /// distance rows, trimmed-mean/median's coordinate shards) fan them out
-    /// over `pool`. Implementations must keep shard boundaries a function
-    /// of the update count and dimension only — never the worker count — so
-    /// the result stays **bitwise identical** to the serial path. The
-    /// default ignores the pool and runs serially.
-    fn aggregate_pooled(
+    /// Aggregates the round's updates into `out` (whose length is the
+    /// parameter dimension); writes zeros when `updates` is empty.
+    ///
+    /// Rules with shardable inner loops (FedAvg's and FedBuff's reduction
+    /// tree, NormBound's clip-average, Krum's distance rows,
+    /// trimmed-mean/median's coordinate shards) fan them out over `pool`.
+    /// Shard boundaries are a function of the update count and dimension
+    /// only — never the worker count — so the result is **bitwise
+    /// identical** at every worker count, and `WorkerPool::new(1)` is the
+    /// serial path.
+    fn aggregate(
         &mut self,
         updates: &[ClientUpdate],
         out: &mut [f32],
         rng: &mut StdRng,
-        _pool: &WorkerPool,
-    ) {
-        self.aggregate_into(updates, out, rng);
-    }
+        pool: &WorkerPool,
+    );
 
     /// Optional transformation of the global model after the delta has been
     /// applied (e.g. CRFL's parameter clipping + noising).
     fn post_process(&mut self, _global: &mut [f32], _rng: &mut StdRng) {}
-}
-
-/// Refills `out` with the per-coordinate values across updates so the
-/// scratch-buffer aggregators (median/trimmed-mean) can reuse one buffer
-/// across all `dim` coordinates.
-pub(crate) fn fill_coordinate(updates: &[ClientUpdate], coord: usize, out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(updates.iter().map(|u| u.delta[coord]));
 }
 
 /// Coordinates per column shard for the per-coordinate aggregators
@@ -108,14 +86,29 @@ pub(crate) fn coordinate_shard<R>(
 {
     let base = shard * COORD_SHARD;
     for (k, slot) in chunk.iter_mut().enumerate() {
-        fill_coordinate(updates, base + k, scratch);
+        scratch.clear();
+        scratch.extend(updates.iter().map(|u| u.delta[base + k]));
         *slot = reduce(scratch);
     }
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use super::ClientUpdate;
+    use super::{Aggregator, ClientUpdate};
+    use collapois_runtime::pool::WorkerPool;
+    use rand::rngs::StdRng;
+
+    /// Runs `agg` serially (one-worker pool) into a fresh `dim` vector.
+    pub fn aggregate(
+        agg: &mut dyn Aggregator,
+        updates: &[ClientUpdate],
+        dim: usize,
+        rng: &mut StdRng,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; dim];
+        agg.aggregate(updates, &mut out, rng, &WorkerPool::new(1));
+        out
+    }
 
     /// Builds updates from plain vectors.
     pub fn updates(vs: &[&[f32]]) -> Vec<ClientUpdate> {

@@ -2,7 +2,7 @@
 //! optionally add Gaussian noise.
 
 use super::Aggregator;
-use crate::update::{tree_reduce_into, tree_reduce_pooled_into, ClientUpdate, MEAN_CHUNK};
+use crate::update::{tree_reduce_pooled_into, ClientUpdate, MEAN_CHUNK};
 use collapois_nn::kernels;
 use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::standard_normal;
@@ -11,9 +11,9 @@ use rand::rngs::StdRng;
 /// NormBound defense: per-update l2 clipping plus optional noise.
 ///
 /// The clip-average runs through the same fixed-shape reduction tree as
-/// FedAvg (each leaf chunk clips and accumulates its own updates), so the
-/// serial and pooled paths are bitwise identical — and with a bound no
-/// update exceeds, NormBound degenerates to exactly FedAvg's sum.
+/// FedAvg (each leaf chunk clips and accumulates its own updates), so it is
+/// bitwise identical at every worker count — and with a bound no update
+/// exceeds, NormBound degenerates to exactly FedAvg's sum.
 #[derive(Debug, Clone)]
 pub struct NormBound {
     bound: f64,
@@ -91,23 +91,7 @@ impl Aggregator for NormBound {
         "norm-bound"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        self.aggregate_into(updates, &mut out, rng);
-        out
-    }
-
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], rng: &mut StdRng) {
-        let bound = self.bound;
-        let mut acc = std::mem::take(&mut self.acc);
-        tree_reduce_into(updates.len(), out, &mut acc, |c, row| {
-            clip_leaf(updates, bound, c, row);
-        });
-        self.acc = acc;
-        self.add_noise(out, rng);
-    }
-
-    fn aggregate_pooled(
+    fn aggregate(
         &mut self,
         updates: &[ClientUpdate],
         out: &mut [f32],
@@ -127,7 +111,7 @@ impl Aggregator for NormBound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use collapois_stats::geometry::l2_norm;
     use rand::SeedableRng;
 
@@ -136,7 +120,7 @@ mod tests {
         let mut agg = NormBound::new(1.0);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[30.0, 40.0]]); // norm 50 -> clipped to 1
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!((l2_norm(&out) - 1.0).abs() < 1e-5);
     }
 
@@ -145,7 +129,7 @@ mod tests {
         let mut agg = NormBound::new(2.0);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[10.0, 0.0], &[0.0, 10.0], &[-10.0, 0.0]]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!(l2_norm(&out) <= 2.0 + 1e-6);
     }
 
@@ -154,11 +138,11 @@ mod tests {
         let mut agg = NormBound::new(100.0);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(agg.aggregate(&us, 2, &mut rng), vec![2.0, 3.0]);
+        assert_eq!(aggregate(&mut agg, &us, 2, &mut rng), vec![2.0, 3.0]);
     }
 
     #[test]
-    fn pooled_clip_average_matches_serial_bitwise() {
+    fn clip_average_is_worker_count_invariant() {
         // Mix of clipped and unclipped updates across several tree leaves.
         let us: Vec<ClientUpdate> = (0..21)
             .map(|i| {
@@ -171,12 +155,12 @@ mod tests {
             .collect();
         let mut agg = NormBound::new(1.5);
         let mut rng = StdRng::seed_from_u64(0);
-        let serial = agg.aggregate(&us, 7, &mut rng);
-        for workers in [1, 2, 4, 8] {
+        let serial = aggregate(&mut agg, &us, 7, &mut rng);
+        for workers in [2, 4, 8] {
             let pool = WorkerPool::new(workers);
             let mut out = vec![0.0f32; 7];
             let mut rng = StdRng::seed_from_u64(0);
-            agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
+            agg.aggregate(&us, &mut out, &mut rng, &pool);
             let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "workers={workers}");
@@ -189,8 +173,8 @@ mod tests {
         let us = updates(&[&[0.0, 0.0]]);
         let mut r1 = StdRng::seed_from_u64(1);
         let mut r2 = StdRng::seed_from_u64(2);
-        let a = agg.aggregate(&us, 2, &mut r1);
-        let b = agg.aggregate(&us, 2, &mut r2);
+        let a = aggregate(&mut agg, &us, 2, &mut r1);
+        let b = aggregate(&mut agg, &us, 2, &mut r2);
         assert_ne!(a, b);
     }
 }

@@ -8,7 +8,8 @@
 //! Benign-AC drop.
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
+use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// RLR defense: sign-agreement-gated learning-rate flipping.
@@ -35,12 +36,19 @@ impl Aggregator for RobustLearningRate {
         "rlr"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
+    fn aggregate(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
         if updates.is_empty() {
-            return vec![0.0; dim];
+            out.fill(0.0);
+            return;
         }
-        let mut agg = mean_delta(updates, dim);
-        for (c, v) in agg.iter_mut().enumerate() {
+        mean_delta_pooled_into(updates, out, &mut Vec::new(), pool);
+        for (c, v) in out.iter_mut().enumerate() {
             let sign_sum: i64 = updates
                 .iter()
                 .map(|u| {
@@ -58,14 +66,13 @@ impl Aggregator for RobustLearningRate {
                 *v = -*v;
             }
         }
-        agg
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use rand::SeedableRng;
 
     #[test]
@@ -73,7 +80,7 @@ mod tests {
         let mut agg = RobustLearningRate::new(2);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0], &[2.0], &[0.5]]);
-        let out = agg.aggregate(&us, 1, &mut rng);
+        let out = aggregate(&mut agg, &us, 1, &mut rng);
         assert!(out[0] > 0.0);
     }
 
@@ -83,7 +90,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         // 2 positive, 1 negative: |sum| = 1 < 3 → flipped.
         let us = updates(&[&[1.0], &[2.0], &[-0.5]]);
-        let out = agg.aggregate(&us, 1, &mut rng);
+        let out = aggregate(&mut agg, &us, 1, &mut rng);
         let mean = (1.0 + 2.0 - 0.5) / 3.0;
         assert!(
             (out[0] + mean).abs() < 1e-6,
@@ -97,7 +104,7 @@ mod tests {
         let mut agg = RobustLearningRate::new(2);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0, 1.0], &[1.0, -1.0]]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!(out[0] > 0.0); // agreement on coord 0
         assert!(out[1].abs() < 1e-9); // disputed coord averages to 0 either way
     }
@@ -106,6 +113,6 @@ mod tests {
     fn empty_round_is_zero() {
         let mut agg = RobustLearningRate::new(1);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(agg.aggregate(&[], 2, &mut rng), vec![0.0; 2]);
+        assert_eq!(aggregate(&mut agg, &[], 2, &mut rng), vec![0.0; 2]);
     }
 }

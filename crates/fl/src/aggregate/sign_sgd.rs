@@ -2,6 +2,7 @@
 
 use super::Aggregator;
 use crate::update::ClientUpdate;
+use collapois_runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 
 /// SignSGD: the aggregated delta is the per-coordinate majority sign times a
@@ -28,40 +29,41 @@ impl Aggregator for SignSgd {
         "signsgd"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        if updates.is_empty() {
-            return vec![0.0; dim];
-        }
+    fn aggregate(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        _pool: &WorkerPool,
+    ) {
         let step = self.step as f32;
-        (0..dim)
-            .map(|c| {
-                let vote: i64 = updates
-                    .iter()
-                    .map(|u| {
-                        let d = u.delta[c];
-                        if d > 0.0 {
-                            1
-                        } else if d < 0.0 {
-                            -1
-                        } else {
-                            0
-                        }
-                    })
-                    .sum();
-                match vote.cmp(&0) {
-                    std::cmp::Ordering::Greater => step,
-                    std::cmp::Ordering::Less => -step,
-                    std::cmp::Ordering::Equal => 0.0,
-                }
-            })
-            .collect()
+        for (c, slot) in out.iter_mut().enumerate() {
+            let vote: i64 = updates
+                .iter()
+                .map(|u| {
+                    let d = u.delta[c];
+                    if d > 0.0 {
+                        1
+                    } else if d < 0.0 {
+                        -1
+                    } else {
+                        0
+                    }
+                })
+                .sum();
+            *slot = match vote.cmp(&0) {
+                std::cmp::Ordering::Greater => step,
+                std::cmp::Ordering::Less => -step,
+                std::cmp::Ordering::Equal => 0.0,
+            };
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use rand::SeedableRng;
 
     #[test]
@@ -69,7 +71,7 @@ mod tests {
         let mut agg = SignSgd::new(0.01);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[5.0, -1.0, 0.0], &[0.1, -2.0, 0.0], &[-9.0, 3.0, 0.0]]);
-        let out = agg.aggregate(&us, 3, &mut rng);
+        let out = aggregate(&mut agg, &us, 3, &mut rng);
         assert_eq!(out, vec![0.01, -0.01, 0.0]);
     }
 
@@ -79,13 +81,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         // A huge malicious magnitude has exactly one vote.
         let us = updates(&[&[1e9], &[-0.1], &[-0.1]]);
-        assert_eq!(agg.aggregate(&us, 1, &mut rng), vec![-1.0]);
+        assert_eq!(aggregate(&mut agg, &us, 1, &mut rng), vec![-1.0]);
     }
 
     #[test]
     fn empty_round_is_zero() {
         let mut agg = SignSgd::new(0.1);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(agg.aggregate(&[], 2, &mut rng), vec![0.0; 2]);
+        assert_eq!(aggregate(&mut agg, &[], 2, &mut rng), vec![0.0; 2]);
     }
 }

@@ -10,7 +10,8 @@
 //! while naive boosted attacks (MRepl) are filtered out.
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta, mean_delta_pooled_into, ClientUpdate};
+use collapois_runtime::pool::WorkerPool;
 use collapois_stats::descriptive::median;
 use collapois_stats::geometry::{cosine_similarity, l2_norm};
 use rand::rngs::StdRng;
@@ -79,8 +80,14 @@ impl Aggregator for StatFilter {
         "stat-filter"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, _rng: &mut StdRng) -> Vec<f32> {
-        let flagged = Self::flagged(updates, dim);
+    fn aggregate(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        _rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
+        let flagged = Self::flagged(updates, out.len());
         self.excluded_total += flagged.len();
         let kept: Vec<ClientUpdate> = updates
             .iter()
@@ -88,17 +95,14 @@ impl Aggregator for StatFilter {
             .filter(|(i, _)| !flagged.contains(i))
             .map(|(_, u)| u.clone())
             .collect();
-        if kept.is_empty() {
-            return vec![0.0; dim];
-        }
-        mean_delta(&kept, dim)
+        mean_delta_pooled_into(&kept, out, &mut Vec::new(), pool);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use rand::SeedableRng;
 
     #[test]
@@ -111,7 +115,7 @@ mod tests {
         let boosted = vec![500.0f32, 500.0];
         all.push(&boosted);
         let us = updates(&all);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!(out[0] < 1.0, "boosted update must be filtered: {out:?}");
         assert_eq!(agg.excluded_total(), 1);
     }
@@ -123,7 +127,7 @@ mod tests {
         let vs: Vec<Vec<f32>> = (0..6).map(|i| vec![0.1 * (i % 3) as f32, 0.2]).collect();
         let refs: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
         let us = updates(&refs);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert_eq!(agg.excluded_total(), 0);
         assert!(out[1] > 0.0);
     }
@@ -133,7 +137,7 @@ mod tests {
         let mut agg = StatFilter::new();
         let mut rng = StdRng::seed_from_u64(2);
         let us = updates(&[&[1000.0f32], &[0.1]]);
-        let out = agg.aggregate(&us, 1, &mut rng);
+        let out = aggregate(&mut agg, &us, 1, &mut rng);
         // With < 3 updates there is no statistics to screen against.
         assert!(out[0] > 100.0);
     }
@@ -142,6 +146,6 @@ mod tests {
     fn empty_round_is_zero() {
         let mut agg = StatFilter::new();
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(agg.aggregate(&[], 3, &mut rng), vec![0.0; 3]);
+        assert_eq!(aggregate(&mut agg, &[], 3, &mut rng), vec![0.0; 3]);
     }
 }

@@ -1,6 +1,6 @@
 //! α-trimmed mean [Yin et al., ICML 2018].
 
-use super::{coordinate_shard, fill_coordinate, Aggregator, COORD_SHARD};
+use super::{coordinate_shard, Aggregator, COORD_SHARD};
 use crate::update::ClientUpdate;
 use collapois_nn::kernels;
 use collapois_runtime::pool::{WorkerArenas, WorkerPool};
@@ -19,7 +19,6 @@ use rand::rngs::StdRng;
 #[derive(Debug)]
 pub struct TrimmedMean {
     beta: f64,
-    scratch: Vec<f32>,
     /// Per-lane gather buffers for the sharded path.
     arenas: WorkerArenas<Vec<f32>>,
 }
@@ -34,7 +33,6 @@ impl TrimmedMean {
         assert!((0.0..0.5).contains(&beta), "beta must be in [0, 0.5)");
         Self {
             beta,
-            scratch: Vec::new(),
             arenas: WorkerArenas::new(),
         }
     }
@@ -50,25 +48,7 @@ impl Aggregator for TrimmedMean {
         "trimmed-mean"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
-        let mut out = vec![0.0f32; dim];
-        self.aggregate_into(updates, &mut out, rng);
-        out
-    }
-
-    fn aggregate_into(&mut self, updates: &[ClientUpdate], out: &mut [f32], _rng: &mut StdRng) {
-        if updates.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        let trim = self.trim(updates.len());
-        for (c, slot) in out.iter_mut().enumerate() {
-            fill_coordinate(updates, c, &mut self.scratch);
-            *slot = kernels::trimmed_mean_inplace(&mut self.scratch, trim);
-        }
-    }
-
-    fn aggregate_pooled(
+    fn aggregate(
         &mut self,
         updates: &[ClientUpdate],
         out: &mut [f32],
@@ -97,7 +77,7 @@ impl Aggregator for TrimmedMean {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use rand::SeedableRng;
 
     #[test]
@@ -105,7 +85,7 @@ mod tests {
         let mut agg = TrimmedMean::new(0.25);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[-1000.0], &[1.0], &[3.0], &[1000.0]]);
-        assert_eq!(agg.aggregate(&us, 1, &mut rng), vec![2.0]);
+        assert_eq!(aggregate(&mut agg, &us, 1, &mut rng), vec![2.0]);
     }
 
     #[test]
@@ -113,7 +93,7 @@ mod tests {
         let mut agg = TrimmedMean::new(0.0);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[1.0], &[2.0], &[3.0]]);
-        assert_eq!(agg.aggregate(&us, 1, &mut rng), vec![2.0]);
+        assert_eq!(aggregate(&mut agg, &us, 1, &mut rng), vec![2.0]);
     }
 
     #[test]
@@ -127,7 +107,7 @@ mod tests {
             &[3.0, 8.0],
             &[4.0, 9.0],
         ]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         assert!(out[0] >= 0.0 && out[0] <= 4.0);
         assert!(out[1] >= 5.0 && out[1] <= 9.0);
     }
@@ -142,11 +122,11 @@ mod tests {
     fn empty_round_is_zero() {
         let mut agg = TrimmedMean::new(0.1);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(agg.aggregate(&[], 4, &mut rng), vec![0.0; 4]);
+        assert_eq!(aggregate(&mut agg, &[], 4, &mut rng), vec![0.0; 4]);
     }
 
     #[test]
-    fn pooled_shards_match_serial_bitwise() {
+    fn shards_are_worker_count_invariant() {
         // Dimension far beyond one COORD_SHARD so several shards exist.
         let dim = 600;
         let us: Vec<ClientUpdate> = (0..11)
@@ -157,11 +137,11 @@ mod tests {
             .collect();
         let mut agg = TrimmedMean::new(0.2);
         let mut rng = StdRng::seed_from_u64(0);
-        let serial = agg.aggregate(&us, dim, &mut rng);
-        for workers in [1, 2, 4, 8] {
+        let serial = aggregate(&mut agg, &us, dim, &mut rng);
+        for workers in [2, 4, 8] {
             let pool = WorkerPool::new(workers);
             let mut out = vec![0.0f32; dim];
-            agg.aggregate_pooled(&us, &mut out, &mut rng, &pool);
+            agg.aggregate(&us, &mut out, &mut rng, &pool);
             let a: Vec<u32> = serial.iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "workers={workers}");

@@ -8,7 +8,8 @@
 //! `ρ = 1/(2z²)`; `ε(δ) = ρ + 2√(ρ·ln(1/δ))`).
 
 use super::Aggregator;
-use crate::update::{mean_delta, ClientUpdate};
+use crate::update::{mean_delta_pooled_into, ClientUpdate};
+use collapois_runtime::pool::WorkerPool;
 use collapois_stats::distribution::standard_normal;
 use collapois_stats::geometry::clip_to_norm;
 use rand::rngs::StdRng;
@@ -61,7 +62,13 @@ impl Aggregator for UserLevelDp {
         "user-dp"
     }
 
-    fn aggregate(&mut self, updates: &[ClientUpdate], dim: usize, rng: &mut StdRng) -> Vec<f32> {
+    fn aggregate(
+        &mut self,
+        updates: &[ClientUpdate],
+        out: &mut [f32],
+        rng: &mut StdRng,
+        pool: &WorkerPool,
+    ) {
         let clipped: Vec<ClientUpdate> = updates
             .iter()
             .map(|u| {
@@ -70,23 +77,22 @@ impl Aggregator for UserLevelDp {
                 ClientUpdate::new(u.client_id, delta, u.num_samples)
             })
             .collect();
-        let mut agg = mean_delta(&clipped, dim);
+        mean_delta_pooled_into(&clipped, out, &mut Vec::new(), pool);
         if !updates.is_empty() {
             let sigma = (self.noise_multiplier * self.sensitivity / updates.len() as f64) as f32;
-            for v in &mut agg {
+            for v in out.iter_mut() {
                 *v += sigma * standard_normal(rng) as f32;
             }
             // One Gaussian release at multiplier z.
             self.rho += 1.0 / (2.0 * self.noise_multiplier * self.noise_multiplier);
         }
-        agg
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::testutil::updates;
+    use crate::aggregate::testutil::{aggregate, updates};
     use collapois_stats::geometry::l2_norm;
     use rand::SeedableRng;
 
@@ -95,7 +101,7 @@ mod tests {
         let mut agg = UserLevelDp::new(1.0, 0.01);
         let mut rng = StdRng::seed_from_u64(0);
         let us = updates(&[&[100.0, 0.0]]);
-        let out = agg.aggregate(&us, 2, &mut rng);
+        let out = aggregate(&mut agg, &us, 2, &mut rng);
         // Clipped to 1, plus modest noise.
         assert!(l2_norm(&out) < 2.0);
     }
@@ -107,14 +113,14 @@ mod tests {
         assert_eq!(agg.rho(), 0.0);
         let us = updates(&[&[0.1, 0.1], &[0.2, 0.0]]);
         for _ in 0..8 {
-            let _ = agg.aggregate(&us, 2, &mut rng);
+            let _ = aggregate(&mut agg, &us, 2, &mut rng);
         }
         // rho = 8 / (2·4) = 1.0
         assert!((agg.rho() - 1.0).abs() < 1e-12);
         let eps = agg.epsilon(1e-5);
         assert!(eps > 1.0, "eps accounts for the delta term: {eps}");
         // Empty rounds cost nothing.
-        let _ = agg.aggregate(&[], 2, &mut rng);
+        let _ = aggregate(&mut agg, &[], 2, &mut rng);
         assert!((agg.rho() - 1.0).abs() < 1e-12);
     }
 
@@ -124,8 +130,8 @@ mod tests {
         let mut high_noise = UserLevelDp::new(1.0, 4.0);
         let mut rng = StdRng::seed_from_u64(2);
         let us = updates(&[&[0.1]]);
-        let _ = low_noise.aggregate(&us, 1, &mut rng);
-        let _ = high_noise.aggregate(&us, 1, &mut rng);
+        let _ = aggregate(&mut low_noise, &us, 1, &mut rng);
+        let _ = aggregate(&mut high_noise, &us, 1, &mut rng);
         assert!(high_noise.epsilon(1e-5) < low_noise.epsilon(1e-5));
     }
 

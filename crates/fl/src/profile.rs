@@ -39,8 +39,8 @@ pub struct PhaseProfile {
     pub steals: u64,
     /// Items rerouted by work-steal claims across all pool dispatches.
     pub stolen_items: u64,
-    /// Sampled clients removed by the fault plan before training (injected
-    /// dropout).
+    /// Clients lost to injected dropout: sampled clients removed before
+    /// training, or buffered-async arrivals dropped before their fetch.
     pub dropped_clients: usize,
     /// Stragglers shed because their virtual delay exceeded the round
     /// deadline.

@@ -177,6 +177,34 @@ fn poison_delta(delta: &mut [f32]) {
     }
 }
 
+/// One participant of a round-body cohort (see [`FlServer::run_cohort`]).
+#[derive(Debug, Clone, Copy)]
+struct CohortSlot<'a> {
+    client: usize,
+    /// Round key of the client's training and adversary RNG streams: the
+    /// round in a synchronous round, the arrival index in a flush.
+    stream: u64,
+    /// The global model the client fetched (`None`: the current global).
+    snapshot: Option<&'a [f32]>,
+    /// The fault plan corrupts this update in flight.
+    corrupt: bool,
+    /// Flushes that landed while the client trained (0 when synchronous).
+    staleness: u64,
+}
+
+impl CohortSlot<'_> {
+    /// A synchronous-round slot: fetched the current global this round.
+    fn fresh(client: usize, round: u64, corrupt: bool) -> Self {
+        Self {
+            client,
+            stream: round,
+            snapshot: None,
+            corrupt,
+            staleness: 0,
+        }
+    }
+}
+
 /// In-training Fine-Pruning [Liu et al., RAID 2018] schedule: every
 /// `every` completed rounds the server ranks the global model's hidden
 /// units by mean activation on its held-out clean split and zeroes the
@@ -210,9 +238,11 @@ pub struct FlServer {
     update_pool: Vec<Vec<f32>>,
     /// Reusable aggregation output buffer.
     agg_buf: Vec<f32>,
-    /// Reusable benign-job input buffer for the training fan-out.
+    /// Reusable benign-job input buffer for the training fan-out
+    /// (`(cohort slot, delta buffer)`).
     job_buf: Vec<(usize, Vec<f32>)>,
-    /// Reusable fan-out output buffer (one outcome per benign job).
+    /// Reusable fan-out output buffer (one `(cohort slot, outcome)` per
+    /// benign job).
     outcome_buf: Vec<(usize, LocalOutcome)>,
     /// Reusable round-update assembly buffer (recycled unless update
     /// collection keeps the round's updates).
@@ -296,9 +326,10 @@ impl FlServer {
     /// prune the `fraction` least-activated hidden units of the global model
     /// against the server's held-out clean split (the pooled test splits of
     /// the first clients, which poisoning never touches — adversaries
-    /// poison their local *training* copies). Applies only to the
-    /// synchronous round loop; the buffered-async simulator ignores the
-    /// configured defense (documented limitation shared by all defenses).
+    /// poison their local *training* copies). The round body prunes after
+    /// aggregation and before the adversary observes the model; the
+    /// buffered-async simulator suspends the hook for its run, as it swaps
+    /// every configured defense for the FedBuff merge.
     ///
     /// # Panics
     ///
@@ -377,13 +408,19 @@ impl FlServer {
             &mut self.eval_arenas,
         );
         self.profile.eval_ms += eval_start.elapsed().as_secs_f64() * 1e3;
+        self.drain_pool_counters();
+        out
+    }
+
+    /// Folds the worker pool's handoff, barrier and steal counters into the
+    /// profile.
+    fn drain_pool_counters(&mut self) {
         let (wait_ns, dispatch_ns) = self.workers.take_sync_ns();
         self.profile.barrier_ms += wait_ns as f64 * 1e-6;
         self.profile.dispatch_ms += dispatch_ns as f64 * 1e-6;
         let (steals, stolen) = self.workers.take_steal_stats();
         self.profile.steals += steals;
         self.profile.stolen_items += stolen;
-        out
     }
 
     /// Drains the per-phase wall-clock profile accumulated since the last
@@ -616,9 +653,9 @@ impl FlServer {
     /// invariant to worker count.
     pub fn run_round(&mut self, adversary: Option<&mut (dyn Adversary + '_)>) -> RoundRecord {
         self.ensure_run_started();
-        let round_u64 = self.round as u64;
+        let round = self.round as u64;
         let run_seed = self.cfg.seed;
-        let mut sampling_rng = seed::sampling_rng(run_seed, round_u64);
+        let mut sampling_rng = seed::sampling_rng(run_seed, round);
         let sampled = Self::sample_clients(
             &mut sampling_rng,
             self.fed.num_clients(),
@@ -626,67 +663,82 @@ impl FlServer {
         );
 
         let plan = self.fault_plan;
-        if plan.dropout <= 0.0 && plan.straggler <= 0.0 && plan.corrupt <= 0.0 {
-            return self.execute_round(sampled, None, Vec::new(), Vec::new(), adversary);
-        }
+        let faulty = plan.dropout > 0.0 || plan.straggler > 0.0 || plan.corrupt > 0.0;
         let mut cohort = Vec::with_capacity(sampled.len());
         let mut dropped = Vec::new();
-        let mut corrupt = Vec::new();
-        for &cid in &sampled {
-            match plan.client_fault(run_seed, round_u64, cid) {
-                ClientFault::None => cohort.push(cid),
-                ClientFault::Dropout => dropped.push((cid, "dropout", 0.0)),
-                ClientFault::Straggler { delay_ms, shed } => {
-                    if shed {
-                        dropped.push((cid, "straggler", delay_ms));
-                    } else {
-                        cohort.push(cid);
-                    }
-                }
-                ClientFault::Corrupt => {
-                    corrupt.push(cid);
-                    cohort.push(cid);
-                }
+        for &client in &sampled {
+            let fault = if faulty {
+                plan.client_fault(run_seed, round, client)
+            } else {
+                ClientFault::None
+            };
+            match fault {
+                ClientFault::Dropout => dropped.push((client, "dropout", 0.0)),
+                ClientFault::Straggler {
+                    delay_ms,
+                    shed: true,
+                } => dropped.push((client, "straggler", delay_ms)),
+                _ => cohort.push(CohortSlot::fresh(
+                    client,
+                    round,
+                    fault == ClientFault::Corrupt,
+                )),
             }
         }
-        self.execute_round(sampled, Some(cohort), dropped, corrupt, adversary)
+        let record = self.run_cohort(sampled, dropped, &cohort, adversary);
+
+        if self.checkpoint_every > 0 && self.round.is_multiple_of(self.checkpoint_every) {
+            if let Some(dir) = self.checkpoint_dir.clone() {
+                let path = checkpoint::checkpoint_path(&dir, self.round as u32);
+                self.write_checkpoint_with_retry(&path);
+            }
+        }
+        record
     }
 
-    /// Runs one round over an explicit participant set, bypassing both
-    /// client sampling and the fault plan. This exposes the degradation
-    /// policy's core invariant for testing: a faulted round is bit-identical
-    /// to a fault-free round over the surviving cohort, because client
-    /// training streams are keyed by `(round, client)` and never by cohort
-    /// shape.
+    /// Runs one round over an explicit participant set, bypassing client
+    /// sampling, the fault plan and checkpointing. This exposes the
+    /// degradation policy's core invariant for testing: a faulted round is
+    /// bit-identical to a fault-free round over the surviving cohort,
+    /// because client training streams are keyed by `(round, client)` and
+    /// never by cohort shape.
     pub fn run_round_with_cohort(
         &mut self,
         cohort: &[usize],
         adversary: Option<&mut (dyn Adversary + '_)>,
     ) -> RoundRecord {
         self.ensure_run_started();
-        self.execute_round(cohort.to_vec(), None, Vec::new(), Vec::new(), adversary)
+        let round = self.round as u64;
+        let slots: Vec<CohortSlot> = cohort
+            .iter()
+            .map(|&client| CohortSlot::fresh(client, round, false))
+            .collect();
+        self.run_cohort(cohort.to_vec(), Vec::new(), &slots, adversary)
     }
 
-    /// The round body shared by [`FlServer::run_round`] and
-    /// [`FlServer::run_round_with_cohort`]. `cohort` is the subset of
-    /// `sampled` that actually participates (`None` means everyone);
-    /// `dropped` carries `(client, cause, delay_ms)` fault verdicts for the
-    /// trace; `corrupt` lists cohort members whose transmitted update is
-    /// poisoned in flight.
-    fn execute_round(
+    /// The round body: one synchronous round or one buffered-async flush.
+    ///
+    /// `sampled` is what `RoundStarted` reports (the sampled set before the
+    /// fault filter, or the flushed buffer in completion order) and
+    /// `dropped` carries its `(client, cause, delay_ms)` fault verdicts.
+    /// `cohort` lists the participants in commit order. Benign slots train
+    /// over the worker pool against their snapshot, compromised slots are
+    /// crafted by the adversary, and every update is corrupted in flight
+    /// if marked, round-tripped through the transport codec and gated on a
+    /// finite norm. Then comes one aggregation call with `θ ← θ + λ·Δ`, the
+    /// aggregator's post-processing and in-training fine-pruning, before
+    /// the adversary and the monitor observe the new global model.
+    fn run_cohort(
         &mut self,
         sampled: Vec<usize>,
-        cohort: Option<Vec<usize>>,
         dropped: Vec<(usize, &'static str, f64)>,
-        corrupt: Vec<usize>,
+        cohort: &[CohortSlot<'_>],
         mut adversary: Option<&mut (dyn Adversary + '_)>,
     ) -> RoundRecord {
         let round_start = Instant::now();
         let round = self.round;
-        let round_u64 = round as u64;
         let run_seed = self.cfg.seed;
         let dim = self.global.len();
-        let participants: &[usize] = cohort.as_deref().unwrap_or(&sampled);
 
         let compromised: Vec<usize> = match adversary.as_ref() {
             Some(adv) => sampled
@@ -718,7 +770,7 @@ impl FlServer {
             dropped_ids.push(client);
         }
 
-        let mut setup_rng = seed::round_setup_rng(run_seed, round_u64);
+        let mut setup_rng = seed::round_setup_rng(run_seed, round as u64);
         self.personalization
             .begin_round(&self.global, &mut setup_rng);
 
@@ -728,10 +780,10 @@ impl FlServer {
             None
         };
 
-        // Benign training jobs, fanned over the worker pool with one
-        // persistent arena per lane. Each job is paired with a recycled
-        // delta buffer it fills in place; the closure only holds shared
-        // borrows of the round snapshot, so all mutation is deferred to
+        // Benign training jobs `(slot, delta buffer)`, fanned over the
+        // worker pool with one persistent arena per lane. Each job fills a
+        // recycled delta buffer in place; the closure only holds shared
+        // borrows of the frozen snapshots, so all mutation is deferred to
         // commits and determinism is independent of scheduling. Job and
         // outcome buffers persist across rounds so the steady-state fan-out
         // allocates nothing.
@@ -740,16 +792,18 @@ impl FlServer {
         let mut jobs = std::mem::take(&mut self.job_buf);
         jobs.clear();
         jobs.extend(
-            participants
+            cohort
                 .iter()
-                .copied()
-                .filter(|cid| !compromised.contains(cid) && !fed.client(*cid).train.is_empty())
-                .map(|cid| (cid, update_pool.pop().unwrap_or_default())),
+                .enumerate()
+                .filter(|(_, s)| {
+                    !compromised.contains(&s.client) && !fed.client(s.client).train.is_empty()
+                })
+                .map(|(i, _)| (i, update_pool.pop().unwrap_or_default())),
         );
         let mut outcomes = std::mem::take(&mut self.outcome_buf);
         let pers: &dyn Personalization = self.personalization.as_ref();
         let cfg = &self.cfg;
-        let global = &self.global;
+        let global: &[f32] = &self.global;
         let template = &self.scratch;
         let train_start = Instant::now();
         self.workers.map_with_arena_into(
@@ -757,80 +811,77 @@ impl FlServer {
             &mut jobs,
             &mut outcomes,
             || ClientScratch::for_model(template),
-            move |_, (cid, buf), scratch| {
+            move |_, (i, buf), scratch| {
+                let slot = &cohort[i];
                 scratch.delta = buf;
-                let mut rng = seed::client_rng(run_seed, round_u64, cid);
-                let out =
-                    pers.local_train(cid, global, &fed.client(cid).train, cfg, scratch, &mut rng);
-                (cid, out)
+                let mut rng = seed::client_rng(run_seed, slot.stream, slot.client);
+                let data = &fed.client(slot.client).train;
+                let snapshot = slot.snapshot.unwrap_or(global);
+                (
+                    i,
+                    pers.local_train(slot.client, snapshot, data, cfg, scratch, &mut rng),
+                )
             },
         );
         self.profile.train_ms += train_start.elapsed().as_secs_f64() * 1e3;
         self.job_buf = jobs;
 
-        // Assemble updates in sampled order; personalization commits land
-        // in the same order, independent of worker scheduling.
+        // Assemble updates in cohort order; personalization commits land in
+        // the same order, independent of worker scheduling.
         let commit_start = Instant::now();
         let mut updates = std::mem::take(&mut self.updates_buf);
         updates.clear();
         let mut benign_norms = Vec::new();
         let mut malicious_norms = Vec::new();
         let mut outcome_iter = outcomes.drain(..).peekable();
-        for &cid in participants {
-            if compromised.contains(&cid) {
+        for (i, slot) in cohort.iter().enumerate() {
+            let cid = slot.client;
+            let (mut delta, commit) = if compromised.contains(&cid) {
                 let adv = adversary.as_mut().expect("compromised implies adversary");
-                let mut rng = seed::adversary_rng(run_seed, round_u64, cid);
-                let mut delta = adv.craft_update(cid, &self.global, round, &mut rng);
-                assert_eq!(
-                    delta.len(),
-                    dim,
-                    "client {cid} produced a wrong-sized update"
-                );
-                if corrupt.contains(&cid) {
-                    poison_delta(&mut delta);
-                }
-                // Simulated transport: encode/decode through the scenario's
-                // codec before the finite-norm gate, so the gate and every
-                // aggregator see exactly what a real receiver would.
-                self.cfg.quantization.roundtrip_inplace(&mut delta);
-                let update = ClientUpdate::new(cid, delta, self.fed.client(cid).train.len());
-                let norm = update.norm();
-                if norm.is_finite() {
-                    malicious_norms.push(norm);
-                    updates.push(update);
-                } else {
-                    self.reject_update(round, cid, corrupt.contains(&cid));
-                    self.update_pool.push(update.delta);
-                }
-            } else if outcome_iter.peek().map(|(c, _)| *c) == Some(cid) {
+                let mut rng = seed::adversary_rng(run_seed, slot.stream, cid);
+                let snapshot = slot.snapshot.unwrap_or(&self.global);
+                (adv.craft_update(cid, snapshot, round, &mut rng), None)
+            } else if outcome_iter.peek().map(|(j, _)| *j) == Some(i) {
                 let (_, out) = outcome_iter.next().expect("peeked");
-                assert_eq!(
-                    out.delta.len(),
-                    dim,
-                    "client {cid} produced a wrong-sized update"
-                );
-                let mut delta = out.delta;
-                if corrupt.contains(&cid) {
-                    poison_delta(&mut delta);
-                }
-                // Same simulated transport round-trip as the malicious arm.
-                self.cfg.quantization.roundtrip_inplace(&mut delta);
-                let update = ClientUpdate::new(cid, delta, self.fed.client(cid).train.len());
-                let norm = update.norm();
-                if norm.is_finite() {
+                (out.delta, Some(out.commit))
+            } else {
+                // A benign client without training data contributes
+                // nothing this round.
+                continue;
+            };
+            assert_eq!(
+                delta.len(),
+                dim,
+                "client {cid} produced a wrong-sized update"
+            );
+            if slot.corrupt {
+                poison_delta(&mut delta);
+            }
+            // Simulated transport: encode/decode through the scenario's
+            // codec before the finite-norm gate, so the gate and every
+            // aggregator see exactly what a real receiver would.
+            self.cfg.quantization.roundtrip_inplace(&mut delta);
+            let update = ClientUpdate {
+                staleness: slot.staleness,
+                ..ClientUpdate::new(cid, delta, self.fed.client(cid).train.len())
+            };
+            let norm = update.norm();
+            if !norm.is_finite() {
+                self.reject_update(round, cid, slot.corrupt);
+                self.update_pool.push(update.delta);
+                continue;
+            }
+            match commit {
+                None => malicious_norms.push(norm),
+                Some(commit) => {
                     // Client-local state is committed only for accepted
                     // updates: a rejected client is treated exactly as if
                     // it had dropped this round.
-                    self.personalization.commit(cid, out.commit);
+                    self.personalization.commit(cid, commit);
                     benign_norms.push(norm);
-                    updates.push(update);
-                } else {
-                    self.reject_update(round, cid, corrupt.contains(&cid));
-                    self.update_pool.push(update.delta);
                 }
             }
-            // else: a benign client without training data — contributes
-            // nothing this round.
+            updates.push(update);
         }
         let num_malicious = malicious_norms.len();
         drop(outcome_iter);
@@ -846,9 +897,9 @@ impl FlServer {
             // aggregation rules assume a non-empty cohort.
             0.0
         } else {
-            let mut agg_rng = seed::aggregation_rng(run_seed, round_u64);
+            let mut agg_rng = seed::aggregation_rng(run_seed, round as u64);
             self.aggregator
-                .aggregate_pooled(&updates, &mut agg, &mut agg_rng, &self.workers);
+                .aggregate(&updates, &mut agg, &mut agg_rng, &self.workers);
             let lr = self.cfg.server_lr as f32;
             let mut agg_sq = 0.0f64;
             for (g, &d) in self.global.iter_mut().zip(&agg) {
@@ -865,7 +916,7 @@ impl FlServer {
         // In-training Fine-Pruning, keyed on the absolute completed-round
         // number so a resumed run prunes on exactly the same schedule. The
         // pruned model is what the adversary observes, the monitor sees,
-        // and the checkpoint below records.
+        // and a checkpoint records.
         if let Some(fp) = &self.fine_prune {
             if (round + 1).is_multiple_of(fp.every) {
                 self.scratch.set_params(&self.global);
@@ -910,14 +961,11 @@ impl FlServer {
             self.updates_buf = updates;
             None
         };
-        let (wait_ns, dispatch_ns) = self.workers.take_sync_ns();
-        self.profile.barrier_ms += wait_ns as f64 * 1e-6;
-        self.profile.dispatch_ms += dispatch_ns as f64 * 1e-6;
-        let (steals, stolen) = self.workers.take_steal_stats();
-        self.profile.steals += steals;
-        self.profile.stolen_items += stolen;
+        self.drain_pool_counters();
         self.profile.rounds += 1;
-        let record = RoundRecord {
+        self.round += 1;
+        self.rounds_executed += 1;
+        RoundRecord {
             round,
             sampled,
             num_malicious,
@@ -926,19 +974,7 @@ impl FlServer {
             updates: kept_updates,
             global_before,
             dropped: dropped_ids,
-        };
-
-        self.round += 1;
-        self.rounds_executed += 1;
-
-        if self.checkpoint_every > 0 && self.round.is_multiple_of(self.checkpoint_every) {
-            if let Some(dir) = self.checkpoint_dir.clone() {
-                let path = checkpoint::checkpoint_path(&dir, self.round as u32);
-                self.write_checkpoint_with_retry(&path);
-            }
         }
-
-        record
     }
 
     /// Logs a pre-aggregation rejection of a non-finite update.
@@ -1031,22 +1067,24 @@ impl FlServer {
     /// global version, train against that exact snapshot for a virtual
     /// duration, and land in a buffer; the buffer flushes into the model
     /// when it holds `buffer_k` completions or the virtual deadline
-    /// passes, using the staleness-weighted [`FedBuff`] merge (decay from
-    /// `plan.staleness_decay`) and the configured `server_lr`.
+    /// passes. For the run, the [`FedBuff`] staleness-weighted merge (decay
+    /// from `plan.staleness_decay`) stands in for the configured
+    /// aggregator and fine-pruning is suspended; `RunStarted` still names
+    /// the configured rule.
     ///
-    /// Each flush plays the role of a round: it emits
-    /// `RoundStarted`/`RoundCompleted` trace events (participants in
-    /// completion order) around the driver's `buffer_flushed` event and
-    /// advances [`FlServer::rounds_done`], so downstream trace tooling
-    /// works unchanged. Benign training streams are keyed by `(arrival
+    /// Each flush is a round of the shared round body over the buffer, in
+    /// completion order: benign training streams are keyed by `(arrival
     /// index, client)` — a pure function of the virtual schedule — and
-    /// flush work fans out over the worker pool through fixed-shape
-    /// kernels, so two same-seed runs are bitwise identical at any worker
-    /// count. The active [`FaultPlan`] composes: dropout, stragglers
-    /// (extra virtual delay; the flush deadline, not the synchronous round
-    /// deadline, governs shedding) and in-flight corruption all apply per
-    /// arrival. Sim runs do not write checkpoints — the same-seed replay
-    /// *is* the resume story.
+    /// every update carries its staleness, so two same-seed runs are
+    /// bitwise identical at any worker count. Flushes emit
+    /// `RoundStarted`/`RoundCompleted` trace events around the driver's
+    /// `buffer_flushed` event, run the monitor, and advance
+    /// [`FlServer::rounds_done`]. The active [`FaultPlan`] composes:
+    /// dropout (drawn at arrival and counted in the profile's
+    /// `dropped_clients`), stragglers (extra virtual delay; the flush
+    /// deadline, not the synchronous round deadline, governs shedding) and
+    /// in-flight corruption all apply per arrival. Sim runs do not write
+    /// checkpoints — the same-seed replay *is* the resume story.
     ///
     /// Returns the driver's event-level summary; stops after
     /// `target_flushes` flushes (or earlier if the plan's event source
@@ -1068,284 +1106,74 @@ impl FlServer {
             "sim population must match the federated dataset"
         );
         self.ensure_run_started();
-        let compromised = adversary
-            .as_ref()
-            .map(|a| a.compromised().to_vec())
-            .unwrap_or_default();
         let mut driver = SimDriver::new(plan.clone(), self.cfg.seed, self.fault_plan)
             .unwrap_or_else(|e| panic!("invalid SimPlan: {e}"));
-        // The driver needs the trace sink while the handler borrows the
-        // server's engine pieces, so the log steps out of `self` for the
-        // duration of the run.
+        let configured = std::mem::replace(
+            &mut self.aggregator,
+            Box::new(FedBuff::new(plan.staleness_decay)),
+        );
+        let fine_prune = self.fine_prune.take();
+        // The driver owns the trace sink for the run; each flush lends it
+        // back to the round body.
         let mut trace = std::mem::take(&mut self.trace);
-        let summary = {
-            let mut handler = ServerSimHandler {
-                run_seed: self.cfg.seed,
-                base_round: self.round,
-                cfg: &self.cfg,
-                fed: &self.fed,
-                personalization: &mut self.personalization,
-                global: &mut self.global,
-                template: &self.scratch,
-                workers: &self.workers,
-                arenas: &mut self.arenas,
-                update_pool: &mut self.update_pool,
-                profile: &mut self.profile,
+        let summary = driver.run(
+            &mut ServerSimHandler {
+                server: self,
                 adversary,
-                compromised,
                 versions: VersionStore::new(),
-                fedbuff: FedBuff::new(plan.staleness_decay),
-                jobs: Vec::new(),
-                outcomes: Vec::new(),
-                updates: Vec::new(),
-                staleness: Vec::new(),
-                agg: Vec::new(),
-            };
-            driver.run(&mut handler, &mut trace, target_flushes as u64)
-        };
+            },
+            &mut trace,
+            target_flushes as u64,
+        );
         self.trace = trace;
-        let flushes = summary.flushes as usize;
-        self.round += flushes;
-        self.rounds_executed += flushes;
+        self.aggregator = configured;
+        self.fine_prune = fine_prune;
+        self.profile.dropped_clients += summary.dropped as usize;
         summary
     }
 }
 
-/// Flush-time state for [`FlServer::run_sim`]: borrows the server's engine
-/// pieces for one simulation run and implements the driver's
-/// [`SimHandler`]. Each flush mirrors the synchronous round body — benign
-/// fan-out with per-lane arenas, commit in deterministic (completion)
-/// order, staleness-weighted merge, `θ ← θ + λ·Δ` — against the *fetched*
-/// snapshots rather than one shared round global.
+/// The simulator's view of a [`FlServer`] for [`FlServer::run_sim`]: it
+/// snapshots the global model at every fetch and hands each flushed buffer
+/// to the shared round body as a cohort whose slots carry the fetched
+/// snapshot, the arrival-index RNG stream and the staleness.
 struct ServerSimHandler<'a, 'b> {
-    run_seed: u64,
-    /// Rounds the server had completed before this sim run (flush `i`
-    /// becomes round `base_round + i` in trace events and RNG keys).
-    base_round: usize,
-    cfg: &'a FlConfig,
-    fed: &'a FederatedDataset,
-    personalization: &'a mut Box<dyn Personalization>,
-    global: &'a mut Vec<f32>,
-    template: &'a Sequential,
-    workers: &'a WorkerPool,
-    arenas: &'a mut WorkerArenas<ClientScratch>,
-    update_pool: &'a mut Vec<Vec<f32>>,
-    profile: &'a mut PhaseProfile,
+    server: &'a mut FlServer,
     adversary: Option<&'a mut (dyn Adversary + 'b)>,
-    compromised: Vec<usize>,
     versions: VersionStore,
-    fedbuff: FedBuff,
-    /// `(client, arrival_index, fetched_version, delta buffer)` benign
-    /// training jobs, rebuilt per flush (buffers recycled).
-    jobs: Vec<(usize, u64, u64, Vec<f32>)>,
-    outcomes: Vec<(usize, LocalOutcome)>,
-    updates: Vec<ClientUpdate>,
-    staleness: Vec<u64>,
-    agg: Vec<f32>,
 }
 
 impl SimHandler for ServerSimHandler<'_, '_> {
     fn on_fetch(&mut self, _client: usize, version: u64) {
-        self.versions.retain(version, self.global);
+        self.versions.retain(version, &self.server.global);
     }
 
     fn flush(
         &mut self,
-        flush_index: u64,
+        _flush_index: u64,
         _now: Ticks,
         buffer: &[Completion],
         trace: &mut TraceLog,
     ) {
-        let flush_start = Instant::now();
-        let round = self.base_round + flush_index as usize;
-        let round_u64 = round as u64;
-        let run_seed = self.run_seed;
-        let dim = self.global.len();
-
-        let sampled: Vec<usize> = buffer.iter().map(|c| c.client).collect();
-        let compromised_here: Vec<usize> = sampled
+        let cohort: Vec<CohortSlot> = buffer
             .iter()
-            .copied()
-            .filter(|c| self.compromised.contains(c))
+            .map(|c| CohortSlot {
+                client: c.client,
+                stream: c.arrival_index,
+                snapshot: Some(self.versions.get(c.fetched_version)),
+                corrupt: c.corrupt,
+                staleness: c.staleness,
+            })
             .collect();
-        trace.push(TraceEvent::RoundStarted {
-            round,
-            sampled,
-            compromised: compromised_here,
-        });
-
-        let mut setup_rng = seed::round_setup_rng(run_seed, round_u64);
-        self.personalization
-            .begin_round(self.global, &mut setup_rng);
-
-        // Benign training jobs in completion order, each against the
-        // snapshot its client fetched. The snapshot set is frozen before
-        // the fan-out, so parallel lanes only share immutable borrows and
-        // determinism is independent of scheduling.
-        let fed = self.fed;
-        let cfg = self.cfg;
-        self.jobs.clear();
-        for c in buffer {
-            if self.compromised.contains(&c.client) || fed.client(c.client).train.is_empty() {
-                continue;
-            }
-            self.jobs.push((
-                c.client,
-                c.arrival_index,
-                c.fetched_version,
-                self.update_pool.pop().unwrap_or_default(),
-            ));
-        }
-        let pers: &dyn Personalization = self.personalization.as_ref();
-        let versions = &self.versions;
-        let template = self.template;
-        let train_start = Instant::now();
-        self.workers.map_with_arena_into(
-            self.arenas,
-            &mut self.jobs,
-            &mut self.outcomes,
-            || ClientScratch::for_model(template),
-            move |_, (cid, arrival_index, version, buf), scratch| {
-                scratch.delta = buf;
-                let snapshot = versions.get(version);
-                let mut rng = seed::client_rng(run_seed, arrival_index, cid);
-                let out = pers.local_train(
-                    cid,
-                    snapshot,
-                    &fed.client(cid).train,
-                    cfg,
-                    scratch,
-                    &mut rng,
-                );
-                (cid, out)
-            },
-        );
-        self.profile.train_ms += train_start.elapsed().as_secs_f64() * 1e3;
-
-        // Assemble updates in completion order; commits land in the same
-        // order, independent of worker scheduling.
-        let commit_start = Instant::now();
-        self.updates.clear();
-        self.staleness.clear();
-        let mut benign_norms = Vec::new();
-        let mut malicious_norms = Vec::new();
-        let mut outcomes = std::mem::take(&mut self.outcomes);
-        let mut outcome_iter = outcomes.drain(..);
-        for c in buffer {
-            let cid = c.client;
-            let delta = if self.compromised.contains(&cid) {
-                let adv = self
-                    .adversary
-                    .as_mut()
-                    .expect("compromised implies adversary");
-                let snapshot = self.versions.get(c.fetched_version);
-                let mut rng = seed::adversary_rng(run_seed, c.arrival_index, cid);
-                Some((adv.craft_update(cid, snapshot, round, &mut rng), true, None))
-            } else if !fed.client(cid).train.is_empty() {
-                let (ocid, out) = outcome_iter.next().expect("one outcome per benign job");
-                debug_assert_eq!(ocid, cid, "outcomes must follow job order");
-                Some((out.delta, false, Some(out.commit)))
-            } else {
-                // A benign client without training data contributes
-                // nothing (it still held a snapshot reference).
-                None
-            };
-            let Some((mut delta, malicious, commit)) = delta else {
-                continue;
-            };
-            assert_eq!(
-                delta.len(),
-                dim,
-                "client {cid} produced a wrong-sized update"
-            );
-            if c.corrupt {
-                poison_delta(&mut delta);
-            }
-            // Simulated transport round-trip, identical to the synchronous
-            // loop: before the finite-norm gate, after any corruption.
-            self.cfg.quantization.roundtrip_inplace(&mut delta);
-            let update = ClientUpdate::new(cid, delta, fed.client(cid).train.len());
-            let norm = update.norm();
-            if norm.is_finite() {
-                if malicious {
-                    malicious_norms.push(norm);
-                } else {
-                    // Client-local state is committed only for accepted
-                    // updates, exactly as in the synchronous loop.
-                    self.personalization
-                        .commit(cid, commit.expect("benign outcome has a commit"));
-                    benign_norms.push(norm);
-                }
-                self.staleness.push(c.staleness);
-                self.updates.push(update);
-            } else {
-                self.profile.rejected_updates += 1;
-                let reason = if c.corrupt {
-                    "injected_corruption"
-                } else {
-                    "non_finite"
-                };
-                trace.push(TraceEvent::UpdateRejected {
-                    round,
-                    client: cid,
-                    reason: reason.to_string(),
-                });
-                self.update_pool.push(update.delta);
-            }
-        }
-        drop(outcome_iter);
-        self.outcomes = outcomes;
-        self.profile.commit_ms += commit_start.elapsed().as_secs_f64() * 1e3;
-
-        let agg_start = Instant::now();
-        self.agg.resize(dim, 0.0);
-        let agg_delta_norm = if self.updates.is_empty() {
-            // Every buffered update was rejected: the flush applies
-            // nothing (mirrors the synchronous degradation policy).
-            0.0
-        } else {
-            self.fedbuff
-                .merge_pooled(&self.updates, &self.staleness, &mut self.agg, self.workers);
-            let lr = self.cfg.server_lr as f32;
-            let mut agg_sq = 0.0f64;
-            for (g, &d) in self.global.iter_mut().zip(&self.agg) {
-                let step = lr * d;
-                agg_sq += f64::from(step) * f64::from(step);
-                *g += step;
-            }
-            agg_sq.sqrt()
-        };
-        self.profile.aggregate_ms += agg_start.elapsed().as_secs_f64() * 1e3;
-
-        if let Some(adv) = self.adversary.as_mut() {
-            adv.observe_global(self.global, round);
-        }
-
-        trace.push(TraceEvent::RoundCompleted {
-            round,
-            aggregator: self.fedbuff.name().to_string(),
-            num_malicious: malicious_norms.len(),
-            benign_norms,
-            malicious_norms,
-            agg_delta_norm,
-            elapsed_ms: flush_start.elapsed().as_secs_f64() * 1e3,
-        });
-
-        // Reclaim delta buffers and snapshot references: every buffered
-        // completion fetched exactly once.
-        for u in self.updates.drain(..) {
-            self.update_pool.push(u.delta);
-        }
+        let sampled = buffer.iter().map(|c| c.client).collect();
+        std::mem::swap(&mut self.server.trace, trace);
+        self.server
+            .run_cohort(sampled, Vec::new(), &cohort, self.adversary.as_deref_mut());
+        std::mem::swap(&mut self.server.trace, trace);
+        // Every buffered completion fetched exactly once.
         for c in buffer {
             self.versions.release(c.fetched_version);
         }
-        let (wait_ns, dispatch_ns) = self.workers.take_sync_ns();
-        self.profile.barrier_ms += wait_ns as f64 * 1e-6;
-        self.profile.dispatch_ms += dispatch_ns as f64 * 1e-6;
-        let (steals, stolen) = self.workers.take_steal_stats();
-        self.profile.steals += steals;
-        self.profile.stolen_items += stolen;
-        self.profile.rounds += 1;
     }
 }
 
@@ -1898,6 +1726,80 @@ mod tests {
         assert_eq!(
             server.take_profile().rejected_updates as u64,
             summary.completions
+        );
+    }
+
+    #[test]
+    fn sim_dropouts_are_counted_in_the_profile() {
+        // Sim dropouts are drawn at arrival by the driver, not by a flush;
+        // the profile must still count every traced drop.
+        let mut server = quick_server();
+        server.set_fault_plan(FaultPlan {
+            dropout: 0.3,
+            ..FaultPlan::none()
+        });
+        let summary = server.run_sim(&quick_sim_plan(), 5, None);
+        let traced = server
+            .trace_events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::ClientDropped { .. }))
+            .count();
+        assert!(traced > 0, "p=0.3 over 5 flushes must drop someone");
+        assert_eq!(summary.dropped as usize, traced);
+        assert_eq!(server.take_profile().dropped_clients, traced);
+    }
+
+    /// Crafts zero deltas until `from_round`, then a huge constant one.
+    #[derive(Debug)]
+    struct LateAdversary {
+        ids: Vec<usize>,
+        from_round: usize,
+    }
+
+    impl Adversary for LateAdversary {
+        fn compromised(&self) -> &[usize] {
+            &self.ids
+        }
+        fn craft_update(
+            &mut self,
+            _client_id: usize,
+            global: &[f32],
+            round: usize,
+            _rng: &mut StdRng,
+        ) -> Vec<f32> {
+            let value = if round < self.from_round { 0.0 } else { 50.0 };
+            vec![value; global.len()]
+        }
+        fn name(&self) -> &'static str {
+            "late"
+        }
+    }
+
+    #[test]
+    fn monitor_alerts_on_sim_runs() {
+        // The flush is the shared round body, so an enabled monitor watches
+        // buffered-async runs too: a late jump in the global model after a
+        // calm history must raise a traced alert.
+        let mut adv = LateAdversary {
+            ids: (0..5).collect(),
+            from_round: 8,
+        };
+        let mut server = quick_server();
+        server.enable_monitor(ShiftDetector::new(3, 6.0));
+        let summary = server.run_sim(&quick_sim_plan(), 12, Some(&mut adv));
+        assert!(summary.reached_target);
+        let alerts: Vec<usize> = server
+            .trace_events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::ShiftAlert { round, .. } => Some(*round),
+                _ => None,
+            })
+            .collect();
+        assert!(!alerts.is_empty(), "no shift alert on a sim run");
+        assert!(
+            alerts.iter().all(|&r| r >= 8),
+            "alerts before the jump: {alerts:?}"
         );
     }
 

@@ -24,7 +24,7 @@
 //! adversaries) is [`crate::server::FlServer::run_sim`], which builds on
 //! the same two pieces.
 
-use crate::aggregate::FedBuff;
+use crate::aggregate::{Aggregator, FedBuff};
 use crate::update::ClientUpdate;
 use collapois_runtime::pool::WorkerPool;
 use collapois_runtime::seed;
@@ -136,7 +136,6 @@ pub struct SyntheticSim {
     contraction: f32,
     agg: Vec<f32>,
     updates: Vec<ClientUpdate>,
-    staleness: Vec<u64>,
     update_pool: Vec<Vec<f32>>,
     rejected: u64,
 }
@@ -157,7 +156,6 @@ impl SyntheticSim {
             contraction: 0.01,
             agg: vec![0.0; dim],
             updates: Vec::new(),
-            staleness: Vec::new(),
             update_pool: Vec::new(),
             rejected: 0,
         }
@@ -192,7 +190,6 @@ impl SimHandler for SyntheticSim {
         trace: &mut TraceLog,
     ) {
         self.updates.clear();
-        self.staleness.clear();
         for c in buffer {
             let mut delta = self.update_pool.pop().unwrap_or_default();
             {
@@ -215,8 +212,10 @@ impl SimHandler for SyntheticSim {
                 }
             }
             if delta.iter().all(|v| v.is_finite()) {
-                self.updates.push(ClientUpdate::new(c.client, delta, 1));
-                self.staleness.push(c.staleness);
+                self.updates.push(ClientUpdate {
+                    staleness: c.staleness,
+                    ..ClientUpdate::new(c.client, delta, 1)
+                });
             } else {
                 self.rejected += 1;
                 trace.push(TraceEvent::UpdateRejected {
@@ -227,8 +226,9 @@ impl SimHandler for SyntheticSim {
                 self.update_pool.push(delta);
             }
         }
+        let mut agg_rng = seed::aggregation_rng(self.run_seed, flush_index);
         self.fedbuff
-            .merge_pooled(&self.updates, &self.staleness, &mut self.agg, &self.pool);
+            .aggregate(&self.updates, &mut self.agg, &mut agg_rng, &self.pool);
         let lr = self.server_lr;
         for (p, &d) in self.params.iter_mut().zip(&self.agg) {
             *p += lr * d;

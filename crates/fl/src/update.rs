@@ -30,15 +30,19 @@ pub struct ClientUpdate {
     /// Number of local samples (available to weighted aggregation rules;
     /// the paper's Eq. 2 averages uniformly over `|S_t|`).
     pub num_samples: usize,
+    /// Global versions that landed while the client trained: 0 in a
+    /// synchronous round, the buffered-async staleness in a FedBuff flush.
+    pub staleness: u64,
 }
 
 impl ClientUpdate {
-    /// Creates an update.
+    /// Creates a 0-stale update.
     pub fn new(client_id: usize, delta: Vec<f32>, num_samples: usize) -> Self {
         Self {
             client_id,
             delta,
             num_samples,
+            staleness: 0,
         }
     }
 

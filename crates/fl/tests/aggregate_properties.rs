@@ -19,9 +19,23 @@
 use collapois_fl::aggregate::{Aggregator, CoordinateMedian, FedAvg, Krum, NormBound, TrimmedMean};
 use collapois_fl::update::ClientUpdate;
 use collapois_nn::kernels;
+use collapois_runtime::pool::WorkerPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Runs `agg` on a one-worker pool (the serial path) into a fresh
+/// `dim`-length delta.
+fn aggregate(
+    agg: &mut dyn Aggregator,
+    updates: &[ClientUpdate],
+    dim: usize,
+    rng: &mut StdRng,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; dim];
+    agg.aggregate(updates, &mut out, rng, &WorkerPool::new(1));
+    out
+}
 
 fn random_updates(rng: &mut StdRng, n: usize, dim: usize) -> Vec<ClientUpdate> {
     (0..n)
@@ -68,14 +82,14 @@ proptest! {
 
         let mut median = CoordinateMedian::new();
         prop_assert_eq!(
-            median.aggregate(&updates, dim, &mut srng),
-            median.aggregate(&shuffled, dim, &mut srng)
+            aggregate(&mut median, &updates, dim, &mut srng),
+            aggregate(&mut median, &shuffled, dim, &mut srng)
         );
 
         let mut tm = TrimmedMean::new(beta);
         prop_assert_eq!(
-            tm.aggregate(&updates, dim, &mut srng),
-            tm.aggregate(&shuffled, dim, &mut srng)
+            aggregate(&mut tm, &updates, dim, &mut srng),
+            aggregate(&mut tm, &shuffled, dim, &mut srng)
         );
     }
 
@@ -92,8 +106,8 @@ proptest! {
         let (shuffled, _) = permuted(&updates, seed ^ 0xfeed);
         let mut srng = StdRng::seed_from_u64(0);
         let mut agg = FedAvg::new();
-        let a = agg.aggregate(&updates, dim, &mut srng);
-        let b = agg.aggregate(&shuffled, dim, &mut srng);
+        let a = aggregate(&mut agg, &updates, dim, &mut srng);
+        let b = aggregate(&mut agg, &shuffled, dim, &mut srng);
         for (x, y) in a.iter().zip(&b) {
             prop_assert!(rel_close(*x, *y), "fedavg permuted: {x} vs {y}");
         }
@@ -113,8 +127,9 @@ proptest! {
         let (shuffled, order) = permuted(&updates, seed ^ 0xc0de);
 
         let krum = Krum::new(f);
-        let base = krum.scores(&updates);
-        let perm = krum.scores(&shuffled);
+        let pool = WorkerPool::new(1);
+        let base = krum.scores(&updates, &pool);
+        let perm = krum.scores(&shuffled, &pool);
         // perm[pos] scored the update that sat at updates[order[pos]].
         for (pos, &orig) in order.iter().enumerate() {
             prop_assert_eq!(perm[pos], base[orig], "score moved under permutation");
@@ -127,7 +142,7 @@ proptest! {
         let min = base.iter().cloned().fold(f64::INFINITY, f64::min);
         let mut srng = StdRng::seed_from_u64(0);
         for (us, scores) in [(&updates, &base), (&shuffled, &perm)] {
-            let out = Krum::new(f).aggregate(us, dim, &mut srng);
+            let out = aggregate(&mut Krum::new(f), us, dim, &mut srng);
             let picked = us
                 .iter()
                 .position(|u| u.delta == out)
@@ -157,14 +172,14 @@ proptest! {
         }
         let mut srng = StdRng::seed_from_u64(0);
         let mut nb = NormBound::new(bound);
-        let out = nb.aggregate(&updates, dim, &mut srng);
+        let out = aggregate(&mut nb, &updates, dim, &mut srng);
 
         let mut fedavg = FedAvg::new();
-        prop_assert_eq!(&out, &fedavg.aggregate(&updates, dim, &mut srng));
+        prop_assert_eq!(&out, &aggregate(&mut fedavg, &updates, dim, &mut srng));
 
         // The mean of vectors within the bound is within the bound, so a
         // second pass must be the identity.
-        let again = nb.aggregate(&[ClientUpdate::new(0, out.clone(), 10)], dim, &mut srng);
+        let again = aggregate(&mut nb, &[ClientUpdate::new(0, out.clone(), 10)], dim, &mut srng);
         prop_assert_eq!(again, out);
     }
 }

@@ -10,10 +10,24 @@ use collapois::fl::aggregate::{
 };
 use collapois::fl::update::ClientUpdate;
 use collapois::nn::zoo::ModelSpec;
+use collapois::runtime::pool::WorkerPool;
 use collapois::stats::geometry::l2_norm;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Runs `agg` on a one-worker pool (the serial path) into a fresh
+/// `dim`-length delta.
+fn aggregate(
+    agg: &mut dyn Aggregator,
+    updates: &[ClientUpdate],
+    dim: usize,
+    rng: &mut StdRng,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; dim];
+    agg.aggregate(updates, &mut out, rng, &WorkerPool::new(1));
+    out
+}
 
 fn labelled_dataset(labels: Vec<usize>, classes: usize) -> Dataset {
     let mut ds = Dataset::empty(&[1], classes);
@@ -89,14 +103,14 @@ proptest! {
 
         // Identical updates: FedAvg is the identity.
         let same = updates_from(&vec![vs[0].clone(); n]);
-        let avg = FedAvg::new().aggregate(&same, dim, &mut srv_rng);
+        let avg = aggregate(&mut FedAvg::new(), &same, dim, &mut srv_rng);
         for (a, b) in avg.iter().zip(&vs[0]) {
             prop_assert!((a - b).abs() < 1e-5);
         }
 
         // Median / trimmed mean bounded by min/max per coordinate.
-        let med = CoordinateMedian::new().aggregate(&updates, dim, &mut srv_rng);
-        let trim = TrimmedMean::new(0.2).aggregate(&updates, dim, &mut srv_rng);
+        let med = aggregate(&mut CoordinateMedian::new(), &updates, dim, &mut srv_rng);
+        let trim = aggregate(&mut TrimmedMean::new(0.2), &updates, dim, &mut srv_rng);
         for c in 0..dim {
             let lo = vs.iter().map(|v| v[c]).fold(f32::INFINITY, f32::min);
             let hi = vs.iter().map(|v| v[c]).fold(f32::NEG_INFINITY, f32::max);
@@ -105,16 +119,16 @@ proptest! {
         }
 
         // Krum selects one of the inputs.
-        let krum = Krum::new(1).aggregate(&updates, dim, &mut srv_rng);
+        let krum = aggregate(&mut Krum::new(1), &updates, dim, &mut srv_rng);
         prop_assert!(vs.iter().any(|v| v == &krum));
 
         // NormBound output never exceeds the bound.
-        let nb = NormBound::new(1.0).aggregate(&updates, dim, &mut srv_rng);
+        let nb = aggregate(&mut NormBound::new(1.0), &updates, dim, &mut srv_rng);
         prop_assert!(l2_norm(&nb) <= 1.0 + 1e-5);
 
         // FLARE trust weights form a convex combination: output within the
         // per-coordinate hull.
-        let fl = Flare::new(4.0).aggregate(&updates, dim, &mut srv_rng);
+        let fl = aggregate(&mut Flare::new(4.0), &updates, dim, &mut srv_rng);
         for c in 0..dim {
             let lo = vs.iter().map(|v| v[c]).fold(f32::INFINITY, f32::min);
             let hi = vs.iter().map(|v| v[c]).fold(f32::NEG_INFINITY, f32::max);

@@ -8,8 +8,22 @@ use collapois::fl::aggregate::{
     RobustLearningRate, SignSgd, TrimmedMean,
 };
 use collapois::fl::update::ClientUpdate;
+use collapois::runtime::pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Runs `agg` on a one-worker pool (the serial path) into a fresh
+/// `dim`-length delta.
+fn aggregate(
+    agg: &mut dyn Aggregator,
+    updates: &[ClientUpdate],
+    dim: usize,
+    rng: &mut StdRng,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; dim];
+    agg.aggregate(updates, &mut out, rng, &WorkerPool::new(1));
+    out
+}
 
 fn all_aggregators() -> Vec<Box<dyn Aggregator>> {
     vec![
@@ -41,7 +55,7 @@ fn every_aggregator_survives_extreme_outliers() {
     updates.push(ClientUpdate::new(7, vec![1e6; dim], 8));
     let mut rng = StdRng::seed_from_u64(0);
     for mut agg in all_aggregators() {
-        let out = agg.aggregate(&updates, dim, &mut rng);
+        let out = aggregate(agg.as_mut(), &updates, dim, &mut rng);
         assert_eq!(out.len(), dim, "{}", agg.name());
         assert!(
             out.iter().all(|v| v.is_finite()),
@@ -65,9 +79,9 @@ fn every_aggregator_handles_single_update_and_empty_round() {
     let single = vec![ClientUpdate::new(0, vec![0.5; dim], 4)];
     let mut rng = StdRng::seed_from_u64(1);
     for mut agg in all_aggregators() {
-        let out = agg.aggregate(&[], dim, &mut rng);
+        let out = aggregate(agg.as_mut(), &[], dim, &mut rng);
         assert_eq!(out.len(), dim, "{} empty round", agg.name());
-        let out = agg.aggregate(&single, dim, &mut rng);
+        let out = aggregate(agg.as_mut(), &single, dim, &mut rng);
         assert_eq!(out.len(), dim, "{} single update", agg.name());
         assert!(out.iter().all(|v| v.is_finite()));
     }
