@@ -28,6 +28,7 @@
 
 use collapois_fl::sim::SyntheticSim;
 use collapois_nn::kernels;
+use collapois_runtime::digest::fnv1a_f32;
 use collapois_runtime::fault::FaultPlan;
 use collapois_runtime::sim::{ArrivalProcess, ChurnPlan, SimDriver, SimPlan};
 use collapois_runtime::trace::TraceLog;
@@ -50,18 +51,6 @@ struct WorkerRow {
     final_vtime_ms: f64,
     param_hash: u64,
     event_hash: (u64, u64),
-}
-
-/// FNV-1a over the parameter bit patterns (the golden-fixture idiom).
-fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 fn plan(num_clients: usize) -> SimPlan {
@@ -142,7 +131,7 @@ fn main() {
             events_per_sec: summary.events as f64 / wall_s,
             flushes_per_sec: summary.flushes as f64 / wall_s,
             final_vtime_ms: summary.final_vtime as f64 / 1e3,
-            param_hash: fnv1a_params(handler.params()),
+            param_hash: fnv1a_f32(handler.params()),
             event_hash: trace.event_hash().expect("hashing mode"),
         };
         println!(

@@ -10,7 +10,7 @@
 
 use crate::baselines::{DPois, DbaAttack, LabelFlip, LocalTrainConfig, MRepl, SemanticAttack};
 use crate::collapois::{CollaPois, CollaPoisConfig};
-use crate::trojan::{train_trojan, TrojanConfig, TrojanedModel};
+use crate::trojan::{TrojanConfig, TrojanMemo, TrojanedModel};
 use collapois_data::federated::FederatedDataset;
 use collapois_data::poison::{BackdoorEval, TriggerBackdoor};
 use collapois_data::sample::Dataset;
@@ -45,6 +45,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Which synthetic corpus to use (stand-ins for FEMNIST / Sentiment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -659,6 +660,11 @@ pub struct ScenarioReport {
     pub records: Vec<RoundRecord>,
     /// The Trojaned model X, when the attack trained one.
     pub trojan: Option<TrojanedModel>,
+    /// Wall-clock ms spent obtaining X (0 when the attack uses none).
+    pub trojan_ms: f64,
+    /// Whether X came from the caller's [`TrojanMemo`] rather than a
+    /// training run of its own.
+    pub trojan_reused: bool,
     /// Final global model parameters.
     pub final_global: Vec<f32>,
     /// Per-phase wall-clock breakdown of the run's round loop.
@@ -810,6 +816,18 @@ impl Scenario {
     /// and when `opts.resume` finds a snapshot from a different
     /// configuration.
     pub fn run_with(&self, opts: &RunOptions) -> ScenarioReport {
+        self.run_with_memo(opts, &mut TrojanMemo::default())
+    }
+
+    /// [`run_with`](Self::run_with), taking the Trojaned model X from
+    /// `memo` when it holds X for this scenario's exact training inputs and
+    /// storing a freshly trained one otherwise. The report is the same
+    /// either way, apart from the timing-only `trojan_ms`/`trojan_reused`.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_with`](Self::run_with).
+    pub fn run_with_memo(&self, opts: &RunOptions, memo: &mut TrojanMemo) -> ScenarioReport {
         let cfg = &self.cfg;
         let spec = cfg.model_spec();
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5CE0);
@@ -838,12 +856,15 @@ impl Scenario {
         // 3. Trigger + auxiliary data + Trojaned model X where needed.
         let trigger = cfg.build_trigger();
         let aux = auxiliary_data(&fed, &compromised);
-        let trojan = match cfg.attack {
+        let trojan_start = Instant::now();
+        let (trojan, trojan_reused) = match cfg.attack {
             AttackKind::CollaPois if !compromised.is_empty() => {
-                Some(train_trojan(&spec, &aux, trigger.as_ref(), &cfg.trojan))
+                let (x, reused) = memo.train(&spec, &aux, trigger.as_ref(), &cfg.trojan);
+                (Some(x), reused)
             }
-            _ => None,
+            _ => (None, false),
         };
+        let trojan_ms = trojan_start.elapsed().as_secs_f64() * 1e3;
         // The semantic backdoor's region is fit once on the attacker's
         // auxiliary data; it doubles as the Attack-SR evaluator (clean
         // in-region samples). Every other attack evaluates through the
@@ -974,6 +995,8 @@ impl Scenario {
             clusters,
             records,
             trojan,
+            trojan_ms,
+            trojan_reused,
             final_global: server.global().to_vec(),
             profile: server.take_profile(),
             event_hash,

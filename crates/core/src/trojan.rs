@@ -14,6 +14,7 @@ use collapois_data::poison::poison_all;
 use collapois_data::sample::Dataset;
 use collapois_data::trigger::Trigger;
 use collapois_nn::optim::Sgd;
+use collapois_nn::workspace::Workspace;
 use collapois_nn::zoo::ModelSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,30 +68,89 @@ pub fn train_trojan(
     trigger: &dyn Trigger,
     cfg: &TrojanConfig,
 ) -> TrojanedModel {
+    train_on(spec, &training_set(aux, trigger, cfg.target_class), cfg)
+}
+
+/// `D_a ∪ D_a^Troj`: the clean auxiliary samples followed by their
+/// triggered copies relabelled to `target_class`.
+fn training_set(aux: &Dataset, trigger: &dyn Trigger, target_class: usize) -> Dataset {
     assert!(!aux.is_empty(), "auxiliary dataset is empty");
+    let mut train = aux.clone();
+    train.extend_from(&poison_all(aux, trigger, target_class));
+    train
+}
+
+/// Trains X on a [`training_set`]: a pure function of `spec`, the set and
+/// `cfg`, which is what lets [`TrojanMemo`] key on exactly those three.
+fn train_on(spec: &ModelSpec, train: &Dataset, cfg: &TrojanConfig) -> TrojanedModel {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut model = spec.build(&mut rng);
-    let poisoned = poison_all(aux, trigger, cfg.target_class);
-    let mut train = aux.clone();
-    train.extend_from(&poisoned);
-
     let mut opt = Sgd::new(cfg.lr).with_momentum(0.9);
+    let mut ws = Workspace::new();
     let steps_per_epoch = train.len().div_ceil(cfg.batch_size).max(1);
     for _ in 0..cfg.epochs {
         for _ in 0..steps_per_epoch {
+            // Batches are drawn fresh: keeping their buffers across steps
+            // (`minibatch_into`) raised the async-fedbuff benchmark's peak
+            // RSS by 2 MB in ~40% of runs (heap layout), for one small
+            // allocation saved per step.
             let (x, y) = train.minibatch(&mut rng, cfg.batch_size);
-            model.train_batch(&x, &y, &mut opt);
+            model.train_batch_ws(&x, &y, &mut opt, &mut ws);
         }
     }
 
-    let (cx, cy) = aux.as_batch();
+    // The clean half is `aux`, the triggered half its poisoned copy.
+    let half = train.len() / 2;
+    let (cx, cy) = train.batch_of(&(0..half).collect::<Vec<_>>());
     let clean_accuracy = model.evaluate(&cx, &cy);
-    let (px, py) = poisoned.as_batch();
+    let (px, py) = train.batch_of(&(half..train.len()).collect::<Vec<_>>());
     let trigger_success = model.evaluate(&px, &py);
     TrojanedModel {
         params: model.params(),
         clean_accuracy,
         trigger_success,
+    }
+}
+
+/// A one-slot memo of X for a run of many scenarios (a grid), owned by the
+/// caller so that no state outlives it.
+///
+/// A lookup hits only when the model spec, the Trojan config and the
+/// digest of the exact training set (shape, class count, `f32` bit
+/// patterns, labels) all match the stored entry; since training is a pure
+/// function of those three, a hit returns the model a fresh training
+/// would, barring a 64-bit digest collision. One slot suffices because grids vary the axes that change X
+/// (data, seed, attack knobs) outside the ones that do not (defense,
+/// algorithm, variant), so equal inputs arrive consecutively.
+#[derive(Debug, Default)]
+pub struct TrojanMemo {
+    slot: Option<(ModelSpec, TrojanConfig, u64, TrojanedModel)>,
+}
+
+impl TrojanMemo {
+    /// X for these inputs, as [`train_trojan`] returns it, and whether it
+    /// came from the memo. A miss trains and replaces the stored entry.
+    ///
+    /// # Panics
+    ///
+    /// As [`train_trojan`].
+    pub fn train(
+        &mut self,
+        spec: &ModelSpec,
+        aux: &Dataset,
+        trigger: &dyn Trigger,
+        cfg: &TrojanConfig,
+    ) -> (TrojanedModel, bool) {
+        let train = training_set(aux, trigger, cfg.target_class);
+        let digest = train.digest();
+        if let Some((s, c, d, x)) = &self.slot {
+            if s == spec && c == cfg && *d == digest {
+                return (x.clone(), true);
+            }
+        }
+        let x = train_on(spec, &train, cfg);
+        self.slot = Some((spec.clone(), *cfg, digest, x.clone()));
+        (x, false)
     }
 }
 

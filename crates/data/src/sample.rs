@@ -1,6 +1,7 @@
 //! Dense dataset container with tensor batching.
 
 use collapois_nn::tensor::Tensor;
+use collapois_runtime::digest::Fnv1a;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -243,6 +244,22 @@ impl Dataset {
         }
     }
 
+    /// FNV-1a over the dataset's exact contents: sample shape, class
+    /// count, length, every feature's `f32` bit pattern and every label.
+    /// Equal datasets digest equal; any changed bit changes the input.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        let dims = [self.sample_shape.len(), self.num_classes, self.len()];
+        for &n in dims.iter().chain(&self.sample_shape) {
+            h.write(&(n as u64).to_le_bytes());
+        }
+        h.write_f32s(&self.features);
+        for &y in &self.labels {
+            h.write(&(y as u64).to_le_bytes());
+        }
+        h.finish()
+    }
+
     /// Heap bytes held by this dataset's feature and label buffers
     /// (capacity, not length — the number the resident-shard byte budget
     /// accounts against).
@@ -306,6 +323,22 @@ mod tests {
         assert_eq!(ds.feature_len(), 2);
         assert_eq!(ds.features_of(4), &[4.0, -4.0]);
         assert_eq!(ds.label_of(4), 1);
+    }
+
+    #[test]
+    fn digest_sees_every_bit_label_and_shape() {
+        let ds = toy();
+        assert_eq!(ds.digest(), ds.clone().digest());
+        let mut signed_zero = ds.clone();
+        signed_zero.features_of_mut(0)[1] = 0.0; // was -0.0
+        let mut relabelled = ds.clone();
+        relabelled.set_label(8, 0);
+        let (x, y) = ds.as_batch();
+        let reshaped = Dataset::from_parts(x.data().to_vec(), y.clone(), &[1, 2], 3);
+        let more_classes = Dataset::from_parts(x.data().to_vec(), y, &[2], 4);
+        for other in [signed_zero, relabelled, reshaped, more_classes] {
+            assert_ne!(ds.digest(), other.digest());
+        }
     }
 
     #[test]

@@ -10,10 +10,15 @@
 //! before execution continues. Because every cell is deterministic, the
 //! concatenation of a killed-and-resumed run is byte-identical to an
 //! uninterrupted one — a property the conformance tests assert directly.
+//!
+//! One invocation trains the attacker's Trojaned model X once per run of
+//! consecutive cells with identical training inputs, through a one-slot
+//! [`TrojanMemo`]; reuse is exact, so it changes no row (DESIGN.md §12).
 
 use crate::report::{extract_str_field, CellReport};
 use crate::schema::{GridCell, GridSpec};
 use collapois_core::scenario::{RunOptions, Scenario};
+use collapois_core::trojan::TrojanMemo;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -98,7 +103,9 @@ pub fn profile_sidecar_path(out_path: &Path) -> PathBuf {
     out_path.with_extension("profile.jsonl")
 }
 
-/// One sidecar line: the timing-dependent counters for an executed cell.
+/// One sidecar line: the timing-dependent counters for an executed cell,
+/// plus, on cells that use a Trojaned model, the ms spent obtaining it and
+/// whether the invocation's memo supplied it.
 fn profile_row(cell: &GridCell, report: &collapois_core::scenario::ScenarioReport) -> String {
     let p = &report.profile;
     let mut row = format!(
@@ -117,6 +124,12 @@ fn profile_row(cell: &GridCell, report: &collapois_core::scenario::ScenarioRepor
         p.steals,
         p.stolen_items,
     );
+    if report.trojan.is_some() {
+        row.push_str(&format!(
+            ",\"trojan_ms\":{:.3},\"trojan_reused\":{}",
+            report.trojan_ms, report.trojan_reused,
+        ));
+    }
     if let Some(s) = &report.shard_stats {
         row.push_str(&format!(
             concat!(
@@ -128,6 +141,16 @@ fn profile_row(cell: &GridCell, report: &collapois_core::scenario::ScenarioRepor
     }
     row.push('}');
     row
+}
+
+/// The execution options a cell runs under at `workers` threads.
+fn run_options(cell: &GridCell, workers: usize) -> RunOptions {
+    RunOptions {
+        workers,
+        fault: cell.spec.fault,
+        sim: cell.spec.sim_enabled.then_some(cell.spec.sim),
+        ..RunOptions::default()
+    }
 }
 
 /// Runs (or resumes) a grid, appending one report row per executed cell.
@@ -184,6 +207,9 @@ pub fn run_grid(
     // Timing sidecar: truncated every invocation, never resume-matched.
     let mut profile_file = File::create(profile_sidecar_path(out_path))?;
 
+    // Cells that share X's training inputs reuse it; the memo lives for
+    // this invocation only, so a resume starts empty (see `TrojanMemo`).
+    let mut memo = TrojanMemo::default();
     let mut executed = 0usize;
     let mut position = 0usize; // cells with a row so far
     for cell in &cells {
@@ -195,13 +221,8 @@ pub fn run_grid(
         if opts.limit > 0 && executed >= opts.limit {
             break;
         }
-        let run_opts = RunOptions {
-            workers,
-            fault: cell.spec.fault,
-            sim: cell.spec.sim_enabled.then_some(cell.spec.sim),
-            ..RunOptions::default()
-        };
-        let report = Scenario::new(cell.spec.config.clone()).run_with(&run_opts);
+        let report = Scenario::new(cell.spec.config.clone())
+            .run_with_memo(&run_options(cell, workers), &mut memo);
         let row = CellReport::from_run(cell, &report);
         file.write_all(row.to_json().as_bytes())?;
         file.write_all(b"\n")?;
@@ -228,6 +249,7 @@ pub fn run_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::extract_raw_field;
 
     fn fast_spec() -> GridSpec {
         GridSpec::parse(
@@ -376,6 +398,105 @@ defense = ["none", "median"]
         )
         .unwrap();
         assert_eq!((o.skipped, o.executed), (0, 2));
+    }
+
+    /// `fast_spec_text` with the CollaPois attack and `axes` in place of
+    /// its defense axis.
+    fn collapois_spec(axes: &str) -> GridSpec {
+        let text = fast_spec_text()
+            .replace("attack = \"dpois\"", "attack = \"collapois\"")
+            .replace("[axes]\ndefense = [\"none\", \"median\"]\n", axes);
+        GridSpec::parse(&text).unwrap()
+    }
+
+    /// The `trojan_reused` flag of every sidecar row.
+    fn reuse_flags(out: &Path) -> Vec<bool> {
+        std::fs::read_to_string(profile_sidecar_path(out))
+            .unwrap()
+            .lines()
+            .map(|l| extract_raw_field(l, "trojan_reused").unwrap() == "true")
+            .collect()
+    }
+
+    /// Runs `spec` fresh into `name` and checks that each row, and each
+    /// cell's X, equal a standalone `run_with` of that cell; returns the
+    /// sidecar's reuse flags.
+    fn run_checked_against_standalone(spec: &GridSpec, name: &str) -> Vec<bool> {
+        let out = tmp(name);
+        let fresh = GridRunOptions {
+            fresh: true,
+            ..GridRunOptions::default()
+        };
+        run_grid(spec, &out, &fresh, |_, _| {}).unwrap();
+        let text = std::fs::read_to_string(&out).unwrap();
+        let cells = spec.cells().unwrap();
+        assert_eq!(text.lines().count(), cells.len());
+        let mut memo = TrojanMemo::default();
+        let mut memo_flags = Vec::new();
+        for (line, cell) in text.lines().zip(&cells) {
+            let scenario = Scenario::new(cell.spec.config.clone());
+            let opts = run_options(cell, spec.default_workers);
+            let alone = scenario.run_with(&opts);
+            let memoized = scenario.run_with_memo(&opts, &mut memo);
+            let alone_row = CellReport::from_run(cell, &alone).to_json();
+            assert_eq!(line, alone_row, "grid row of {}", cell.id);
+            assert_eq!(CellReport::from_run(cell, &memoized).to_json(), alone_row);
+            assert!(alone.trojan.is_some() && !alone.trojan_reused);
+            assert_eq!(memoized.trojan, alone.trojan, "X of {}", cell.id);
+            memo_flags.push(memoized.trojan_reused);
+        }
+        let flags = reuse_flags(&out);
+        assert_eq!(flags, memo_flags);
+        flags
+    }
+
+    #[test]
+    fn trojan_is_reused_across_defense_and_variant_and_reports_are_unchanged() {
+        let spec = collapois_spec(
+            "[axes]\ndefense = [\"none\", \"median\"]\n\n\
+             [variants.plain]\n[variants.faulted]\nfault.dropout = 0.25\n",
+        );
+        let flags = run_checked_against_standalone(&spec, "memo-hit.jsonl");
+        assert_eq!(flags, [false, true, true, true]);
+    }
+
+    #[test]
+    fn changing_a_trojan_input_misses_and_retrains() {
+        // Each variant changes one input of X's training relative to the
+        // variant before it, so no cell may reuse its predecessor's X.
+        let spec = collapois_spec(
+            "[variants.base]\n\
+             [variants.seed]\nseed = 7\n\
+             [variants.alpha]\nseed = 7\nalpha = 0.3\n\
+             [variants.epochs]\nseed = 7\nalpha = 0.3\ntrojan_epochs = 3\n\
+             [variants.text]\nseed = 7\nalpha = 0.3\ntrojan_epochs = 3\ndataset = \"text\"\n",
+        );
+        let flags = run_checked_against_standalone(&spec, "memo-miss.jsonl");
+        assert_eq!(flags, [false; 5]);
+    }
+
+    #[test]
+    fn resume_that_splits_a_memo_group_matches_an_uninterrupted_run() {
+        let spec = collapois_spec("[axes]\ndefense = [\"none\", \"median\", \"krum\"]\n");
+        let whole = tmp("memo-whole.jsonl");
+        let split = tmp("memo-split.jsonl");
+        for out in [&whole, &split] {
+            let _ = std::fs::remove_file(out);
+        }
+        run_grid(&spec, &whole, &GridRunOptions::default(), |_, _| {}).unwrap();
+        assert_eq!(reuse_flags(&whole), [false, true, true]);
+        let first = GridRunOptions {
+            limit: 1,
+            ..GridRunOptions::default()
+        };
+        run_grid(&spec, &split, &first, |_, _| {}).unwrap();
+        run_grid(&spec, &split, &GridRunOptions::default(), |_, _| {}).unwrap();
+        // The resumed half starts with an empty memo and retrains X once.
+        assert_eq!(reuse_flags(&split), [false, true]);
+        assert_eq!(
+            std::fs::read_to_string(&split).unwrap(),
+            std::fs::read_to_string(&whole).unwrap()
+        );
     }
 
     fn fast_spec_text() -> String {

@@ -26,6 +26,7 @@
 //! prefix pointing past the end, trailing garbage, and checksum mismatch
 //! all return [`CheckpointError`] — never a panic.
 
+use crate::digest::fnv1a;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -34,16 +35,6 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"CPOISNAP";
 /// Current snapshot wire-format version.
 pub const FORMAT_VERSION: u8 = 1;
-
-/// FNV-1a over a byte slice (also used for config hashing).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Hashes a config's `Debug` representation. `Debug` output for the plain
 /// structs used as configs is deterministic, so equal configs hash equal

@@ -8,6 +8,8 @@
 //!   bit-identical regardless of execution order or worker count.
 //! - [`pool`]: a scoped worker pool that fans independent jobs over threads
 //!   and returns results in input order.
+//! - [`digest`]: FNV-1a, the one hash behind checksums, config and event
+//!   hashes, and parameter fixtures.
 //! - [`checkpoint`]: versioned binary snapshots of run state for
 //!   kill-and-resume semantics.
 //! - [`trace`]: structured JSONL run traces (one event per line) that both
@@ -22,6 +24,7 @@
 //!   bitwise-stable replays.
 
 pub mod checkpoint;
+pub mod digest;
 pub mod fault;
 pub mod pool;
 pub mod seed;

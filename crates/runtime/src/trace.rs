@@ -15,6 +15,7 @@
 //! [`TraceEvent::normalized`] zeroes them so two traces can be compared
 //! bit-for-bit in determinism tests.
 
+use crate::digest::Fnv1a;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{BufWriter, Write};
@@ -460,23 +461,21 @@ pub struct TraceLog {
 /// per line, matching a hash over the equivalent JSONL file).
 #[derive(Debug, Clone, Copy)]
 struct EventHasher {
-    state: u64,
+    state: Fnv1a,
     count: u64,
 }
 
 impl EventHasher {
     fn new() -> Self {
         Self {
-            state: 0xcbf2_9ce4_8422_2325,
+            state: Fnv1a::new(),
             count: 0,
         }
     }
 
     fn fold(&mut self, line: &str) {
-        for b in line.as_bytes().iter().chain(std::iter::once(&b'\n')) {
-            self.state ^= *b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.state.write(line.as_bytes());
+        self.state.write(b"\n");
         self.count += 1;
     }
 }
@@ -540,7 +539,7 @@ impl TraceLog {
     /// `(fnv1a hash, event count)` of the normalized event sequence.
     /// `None` unless this log was built with [`TraceLog::hashing`].
     pub fn event_hash(&self) -> Option<(u64, u64)> {
-        self.hasher.map(|h| (h.state, h.count))
+        self.hasher.map(|h| (h.state.finish(), h.count))
     }
 
     /// Flushes the file sink (no-op for memory-only traces).
@@ -559,7 +558,7 @@ pub fn hash_events(events: &[TraceEvent]) -> (u64, u64) {
     for e in events {
         h.fold(&e.normalized().to_json());
     }
-    (h.state, h.count)
+    (h.state.finish(), h.count)
 }
 
 /// `(fnv1a hash, event count)` over [`TraceEvent::canonical`] JSON lines:
@@ -571,7 +570,7 @@ pub fn hash_canonical_events(events: &[TraceEvent]) -> (u64, u64) {
     for e in events {
         h.fold(&e.canonical().to_json());
     }
-    (h.state, h.count)
+    (h.state.finish(), h.count)
 }
 
 impl Drop for TraceLog {
@@ -1025,7 +1024,7 @@ mod tests {
         assert_eq!(retained.event_hash(), None);
         let (h, n) = hashed.event_hash().unwrap();
         assert_eq!(n, events.len() as u64);
-        assert_ne!(h, EventHasher::new().state, "events must perturb the hash");
+        assert_ne!(h, Fnv1a::new().finish(), "events must perturb the hash");
     }
 
     fn sample_events() -> Vec<TraceEvent> {
@@ -1182,7 +1181,7 @@ mod tests {
             hash_canonical_events(&events)
         };
         assert_eq!(at(1), at(8));
-        assert_ne!(hash_events(&sample_events()), (EventHasher::new().state, 0));
+        assert_ne!(hash_events(&sample_events()), (Fnv1a::new().finish(), 0));
     }
 
     #[test]

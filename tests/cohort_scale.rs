@@ -36,18 +36,7 @@ use collapois::core::scenario::{
 };
 use collapois::data::{Dataset, FederatedDataset};
 use collapois::fl::metrics::{cluster_analysis, population};
-
-/// FNV-1a over the little-endian `f32` bit patterns.
-fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
+use collapois::runtime::digest::fnv1a_f32;
 
 fn assert_datasets_bitwise_eq(a: &Dataset, b: &Dataset, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length");
@@ -137,7 +126,7 @@ fn lazy_cohort_event_hash_matches_fixture_at_every_worker_count() {
         );
         // The stealing dispatcher must also leave the trained model
         // bitwise identical, not just the trace.
-        let params = fnv1a_params(&report.final_global);
+        let params = fnv1a_f32(&report.final_global);
         match param_hash {
             None => param_hash = Some(params),
             Some(h) => assert_eq!(

@@ -24,21 +24,10 @@
 
 use collapois::core::scenario::{AttackKind, DefenseKind, RunOptions, Scenario, ScenarioConfig};
 use collapois::runtime::checkpoint;
+use collapois::runtime::digest::fnv1a_f32;
 use collapois::runtime::fault::{ClientFault, FaultPlan};
 use collapois::runtime::trace::{read_trace, TraceEvent};
 use std::path::PathBuf;
-
-/// FNV-1a over the little-endian `f32` bit patterns.
-fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// A small, fast scenario; `attack` toggles the CollaPois adversary so the
 /// cheap tests can skip Trojan training.
@@ -306,7 +295,7 @@ fn fault_schedule_and_result_are_worker_count_invariant() {
         let _ = std::fs::remove_file(&trace_path);
         let faults = fault_events(&events);
         assert!(!faults.is_empty(), "plan must fire at workers={workers}");
-        let hash = fnv1a_params(&report.final_global);
+        let hash = fnv1a_f32(&report.final_global);
         match &baseline {
             None => baseline = Some((faults, hash)),
             Some((f1, h1)) => {
@@ -339,7 +328,7 @@ fn faulted_golden_scenario_matches_committed_fixture_at_every_worker_count() {
             fault: plan,
             ..RunOptions::default()
         });
-        let actual = format!("{:016x}", fnv1a_params(&report.final_global));
+        let actual = format!("{:016x}", fnv1a_f32(&report.final_global));
         assert_eq!(
             actual, expected,
             "faulted final params diverged from the golden fixture at \

@@ -23,18 +23,7 @@
 use collapois::core::scenario::{
     AttackKind, DefenseKind, FlAlgo, RunOptions, Scenario, ScenarioConfig,
 };
-
-/// FNV-1a over the little-endian `f32` bit patterns.
-fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
+use collapois::runtime::digest::fnv1a_f32;
 
 fn golden_cfg(defense: DefenseKind) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::quick_image(1.0, 0.05);
@@ -69,7 +58,7 @@ fn assert_cfg_matches_fixture(cfg: ScenarioConfig, fixture: &str) {
             workers,
             ..RunOptions::default()
         });
-        let actual = format!("{:016x}", fnv1a_params(&report.final_global));
+        let actual = format!("{:016x}", fnv1a_f32(&report.final_global));
         assert_eq!(
             actual, expected,
             "final global params diverged from the golden fixture at \

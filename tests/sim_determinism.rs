@@ -20,22 +20,11 @@
 //! file, and call the change out in the PR description.
 
 use collapois::fl::sim::SyntheticSim;
+use collapois::runtime::digest::fnv1a_f32;
 use collapois::runtime::fault::FaultPlan;
 use collapois::runtime::sim::{ArrivalProcess, ChurnPlan, EventQueue, SimDriver, SimPlan};
 use collapois::runtime::trace::{TraceEvent, TraceLog};
 use proptest::prelude::*;
-
-/// FNV-1a over the little-endian `f32` bit patterns (the fixture idiom).
-fn fnv1a_params(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in params {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -121,7 +110,7 @@ fn run_once(workers: usize) -> (u64, (u64, u64)) {
     let summary = driver.run(&mut handler, &mut trace, 20);
     assert!(summary.reached_target, "plan must sustain 20 flushes");
     (
-        fnv1a_params(handler.params()),
+        fnv1a_f32(handler.params()),
         trace.event_hash().expect("hashing mode"),
     )
 }
