@@ -79,7 +79,7 @@ fn main() {
         let metrics = evaluate_clients_pooled(
             server.dataset(),
             &spec,
-            |_| global.clone(),
+            |_| &global,
             &collapois_data::poison::TriggerBackdoor(trigger.as_ref()),
             base.trojan.target_class,
             &compromised,

@@ -422,18 +422,21 @@ impl ScenarioConfig {
     /// compromised validation splits cover too few classes to train a
     /// meaningful Trojan. At paper scale each client is one of thousands,
     /// so even a handful of compromised clients pools enough auxiliary
-    /// data and the floor is no longer needed.)
+    /// data and the floor is no longer needed.) Both the count and the
+    /// floor are capped at half the population, so at least half the
+    /// clients stay benign.
     pub fn num_compromised(&self) -> usize {
         if self.compromised_frac <= 0.0 || self.attack == AttackKind::None {
             return 0;
         }
+        let half = self.num_clients / 2;
         let floor = if self.num_clients >= LAZY_COHORT_THRESHOLD {
             1
         } else {
             4
         };
         ((self.num_clients as f64 * self.compromised_frac).round() as usize)
-            .clamp(floor, (self.num_clients / 2).max(floor))
+            .clamp(floor.min(half), half)
     }
 
     /// Whether this configuration serves client data through lazy resident
@@ -1263,7 +1266,16 @@ mod tests {
     fn num_compromised_has_floor_and_cap() {
         let mut cfg = ScenarioConfig::quick_image(1.0, 0.001);
         assert_eq!(cfg.num_compromised(), 4); // floor
-        cfg.compromised_frac = 0.9;
+
+        // Below 8 clients the floor would exceed half the population.
+        for n in 2..=8 {
+            cfg.num_clients = n;
+            cfg.compromised_frac = 0.001;
+            assert_eq!(cfg.num_compromised(), 4.min(n / 2), "floor at {n} clients");
+            cfg.compromised_frac = 0.9;
+            assert_eq!(cfg.num_compromised(), n / 2, "cap at {n} clients");
+        }
+        cfg.num_clients = 60;
         assert_eq!(cfg.num_compromised(), cfg.num_clients / 2); // cap
         cfg.compromised_frac = 0.0;
         assert_eq!(cfg.num_compromised(), 0);

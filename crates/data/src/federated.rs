@@ -17,6 +17,7 @@ use crate::partition::dirichlet_partition;
 use crate::sample::Dataset;
 use crate::shard::{ResidentShards, ShardSpec, ShardStats};
 use rand::Rng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One client's local data splits.
@@ -65,6 +66,59 @@ impl ClientData {
     /// budget accounts against).
     pub fn heap_bytes(&self) -> usize {
         self.train.heap_bytes() + self.test.heap_bytes() + self.val.heap_bytes()
+    }
+}
+
+/// What evaluation reads of a client with no resident shard: the test
+/// split plus per-class counts over all three splits, without the train
+/// and validation features ([`crate::shard::ShardSpec::generate_test_view`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TestView {
+    /// The client's testing split, bit-identical to its full shard's.
+    pub test: Dataset,
+    label_counts: Vec<usize>,
+}
+
+impl TestView {
+    /// A view of `test` whose client holds `label_counts` samples per
+    /// class across all splits.
+    pub(crate) fn new(test: Dataset, label_counts: Vec<usize>) -> Self {
+        Self { test, label_counts }
+    }
+
+    /// Per-class sample counts over all three splits: equal to the full
+    /// shard's [`ClientData::label_histogram`].
+    pub fn label_histogram(&self) -> &[usize] {
+        &self.label_counts
+    }
+}
+
+/// One client as evaluation sees it: the full shard when one is at hand,
+/// a [`TestView`] otherwise. Either way it answers the two questions
+/// evaluation asks, bit-identically.
+#[derive(Debug, Clone)]
+pub enum EvalShard {
+    /// The client's full shard.
+    Full(Arc<ClientData>),
+    /// The client's test split and label counts only.
+    View(TestView),
+}
+
+impl EvalShard {
+    /// The client's testing split.
+    pub fn test(&self) -> &Dataset {
+        match self {
+            Self::Full(c) => &c.test,
+            Self::View(v) => &v.test,
+        }
+    }
+
+    /// Per-class sample counts over all three splits.
+    pub fn label_histogram(&self) -> Cow<'_, [usize]> {
+        match self {
+            Self::Full(c) => Cow::Owned(c.label_histogram()),
+            Self::View(v) => Cow::Borrowed(v.label_histogram()),
+        }
     }
 }
 
@@ -225,6 +279,21 @@ impl FederatedDataset {
         }
     }
 
+    /// What evaluation reads of client `id`. The eager backing hands out
+    /// the full shard (an `Arc` clone); the lazy backing a resident shard,
+    /// or else renders a [`TestView`] without the train and
+    /// validation features (see [`ResidentShards::get_eval`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of bounds.
+    pub fn eval_client(&self, id: usize) -> EvalShard {
+        match &self.backing {
+            Backing::Eager(clients) => EvalShard::Full(Arc::clone(&clients[id])),
+            Backing::Lazy(store) => store.get_eval(id),
+        }
+    }
+
     /// Residency counters of the lazy backing (`None` when eager).
     pub fn shard_stats(&self) -> Option<ShardStats> {
         match &self.backing {
@@ -340,6 +409,15 @@ mod tests {
         for id in [7, 0, 11, 3, 7, 0] {
             assert_eq!(lazy.client(id), eager.client(id));
         }
+        // Evaluation reads the same test split and label counts from a
+        // lazy view (client 5 was never touched) as from an eager shard.
+        for id in [5, 7] {
+            let (l, e) = (lazy.eval_client(id), eager.eval_client(id));
+            assert_eq!(l.test(), e.test());
+            assert_eq!(l.label_histogram(), e.label_histogram());
+        }
+        assert!(matches!(lazy.eval_client(5), EvalShard::View(_)));
+        assert!(matches!(eager.eval_client(5), EvalShard::Full(_)));
         assert_eq!(lazy.auxiliary(&[2, 9]), eager.auxiliary(&[2, 9]));
         assert!(lazy.shard_stats().is_some());
         assert!(eager.shard_stats().is_none());

@@ -39,7 +39,7 @@ pub mod shard;
 pub mod synthetic;
 pub mod trigger;
 
-pub use federated::{ClientData, FederatedDataset};
+pub use federated::{ClientData, EvalShard, FederatedDataset, TestView};
 pub use partition::dirichlet_partition;
 pub use sample::Dataset;
 pub use shard::{ResidentShards, ShardSource, ShardSpec, ShardStats};

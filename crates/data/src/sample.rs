@@ -281,6 +281,39 @@ impl Dataset {
         train_frac: f64,
         test_frac: f64,
     ) -> (Dataset, Dataset, Dataset) {
+        let split = SplitIndices::draw(rng, self.len(), train_frac, test_frac);
+        (
+            self.subset(split.train()),
+            self.subset(split.test()),
+            self.subset(split.val()),
+        )
+    }
+}
+
+/// The seeded index partition behind [`Dataset::split`]: `0..len`
+/// shuffled, then cut into train, test and validation runs. It depends on
+/// nothing but `len` and the generator, so a shard renderer can draw it
+/// before deciding which samples to materialize.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SplitIndices {
+    idx: Vec<usize>,
+    n_train: usize,
+    n_test: usize,
+}
+
+impl SplitIndices {
+    /// Shuffles `0..len` with `rng` and cuts it by the given fractions
+    /// (validation receives the remainder).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fractions are negative or sum to more than 1.
+    pub(crate) fn draw<R: Rng + ?Sized>(
+        rng: &mut R,
+        len: usize,
+        train_frac: f64,
+        test_frac: f64,
+    ) -> Self {
         assert!(
             train_frac >= 0.0 && test_frac >= 0.0,
             "fractions must be non-negative"
@@ -289,16 +322,30 @@ impl Dataset {
             train_frac + test_frac <= 1.0 + 1e-9,
             "fractions must sum to at most 1"
         );
-        let mut idx: Vec<usize> = (0..self.len()).collect();
+        let mut idx: Vec<usize> = (0..len).collect();
         idx.shuffle(rng);
-        let n_train = (self.len() as f64 * train_frac).round() as usize;
-        let n_test = (self.len() as f64 * test_frac).round() as usize;
-        let n_train = n_train.min(self.len());
-        let n_test = n_test.min(self.len() - n_train);
-        let train = self.subset(&idx[..n_train]);
-        let test = self.subset(&idx[n_train..n_train + n_test]);
-        let val = self.subset(&idx[n_train + n_test..]);
-        (train, test, val)
+        let n_train = ((len as f64 * train_frac).round() as usize).min(len);
+        let n_test = ((len as f64 * test_frac).round() as usize).min(len - n_train);
+        Self {
+            idx,
+            n_train,
+            n_test,
+        }
+    }
+
+    /// Indices of the training split.
+    pub(crate) fn train(&self) -> &[usize] {
+        &self.idx[..self.n_train]
+    }
+
+    /// Indices of the testing split.
+    pub(crate) fn test(&self) -> &[usize] {
+        &self.idx[self.n_train..self.n_train + self.n_test]
+    }
+
+    /// Indices of the validation split.
+    pub(crate) fn val(&self) -> &[usize] {
+        &self.idx[self.n_train + self.n_test..]
     }
 }
 

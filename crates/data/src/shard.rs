@@ -13,17 +13,26 @@
 //! memory pressure and regenerating it later always reproduces the same
 //! bytes as materializing every client eagerly up front.
 //!
-//! [`ResidentShards`] keeps generated shards resident across rounds in
-//! sharded maps behind an LRU byte budget, so a cohort-sampling round
-//! touches only the sampled shards and a 5 000-client run fits a fixed
-//! bytes-per-client envelope. The cache-hit path is allocation-free (one
-//! map lock, one `HashMap` lookup, one `Arc` clone).
+//! Generation runs in two phases through the synthetic sources' one
+//! renderer (`synthetic::render`): *draw* consumes every random
+//! draw of the shard — label mix, per-sample class, pick and noise pairs,
+//! then the split shuffle — and *materialize* maps only the samples a
+//! caller keeps. A full shard materializes all three splits; a
+//! [`TestView`] materializes the test split and counts every split's
+//! labels, which is all evaluation reads.
+//!
+//! [`ResidentShards`] keeps generated full shards resident across rounds
+//! in sharded maps behind an LRU byte budget, so a cohort-sampling round
+//! touches only the sampled shards and a 5 000-client run fits a
+//! fixed bytes-per-client envelope. The cache-hit path is allocation-free
+//! (one map lock, one `HashMap` lookup, one `Arc` clone).
 
-use crate::federated::ClientData;
-use crate::sample::Dataset;
+use crate::federated::{ClientData, EvalShard, TestView};
+use crate::sample::{Dataset, SplitIndices};
+use crate::synthetic::render::{Draws, Pick, Render};
 use crate::synthetic::{SyntheticImage, SyntheticText};
 use collapois_runtime::seed::shard_rng;
-use collapois_stats::distribution::Dirichlet;
+use collapois_stats::distribution::{Dirichlet, PolarPair};
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -59,11 +68,27 @@ impl ShardSource {
             Self::Text(g) => g.config().classes,
         }
     }
+}
 
-    fn render<R: Rng + ?Sized>(&self, rng: &mut R, class: usize, out: &mut [f32]) {
+impl Render for ShardSource {
+    fn feature_len(&self) -> usize {
         match self {
-            Self::Image(g) => g.render_sample(rng, class, out),
-            Self::Text(g) => g.render_sample(rng, class, out),
+            Self::Image(g) => g.feature_len(),
+            Self::Text(g) => g.feature_len(),
+        }
+    }
+
+    fn draw_pick<R: Rng + ?Sized>(&self, rng: &mut R) -> Pick {
+        match self {
+            Self::Image(g) => g.draw_pick(rng),
+            Self::Text(g) => g.draw_pick(rng),
+        }
+    }
+
+    fn materialize(&self, class: usize, pick: Pick, noise: &[PolarPair], out: &mut [f32]) {
+        match self {
+            Self::Image(g) => g.materialize(class, pick, noise, out),
+            Self::Text(g) => g.materialize(class, pick, noise, out),
         }
     }
 }
@@ -135,13 +160,37 @@ impl ShardSpec {
     /// — in any order, from any thread, after any number of evictions —
     /// return identical data.
     pub fn generate_client(&self, client_id: usize) -> ClientData {
-        let mut rng = shard_rng(self.seed, client_id);
+        let (draws, split) = self.draw_client(&mut shard_rng(self.seed, client_id));
+        ClientData {
+            train: self.materialize(&draws, split.train()),
+            test: self.materialize(&draws, split.test()),
+            val: self.materialize(&draws, split.val()),
+        }
+    }
+
+    /// Client `client_id`'s [`TestView`]: the same draws and split
+    /// shuffle as [`ShardSpec::generate_client`], materializing only the
+    /// test split. Its `test` and label counts equal the full shard's
+    /// `test` and `label_histogram()` bit for bit.
+    pub fn generate_test_view(&self, client_id: usize) -> TestView {
+        let (draws, split) = self.draw_client(&mut shard_rng(self.seed, client_id));
+        let mut label_counts = vec![0; self.source.num_classes()];
+        for &y in draws.labels() {
+            label_counts[y] += 1;
+        }
+        TestView::new(self.materialize(&draws, split.test()), label_counts)
+    }
+
+    /// The draw phase of one client: its Dirichlet label mix, then per
+    /// sample the class and the source's draws, then the 70/15/15 split
+    /// shuffle — every draw the shard consumes, with nothing mapped yet.
+    fn draw_client<R: Rng + ?Sized>(&self, rng: &mut R) -> (Draws, SplitIndices) {
         let classes = self.source.num_classes();
         // The client's own label mix — the same symmetric-Dirichlet skew
         // `dirichlet_partition` applies to a pooled dataset, drawn per
         // client instead of per population.
         let dir = Dirichlet::symmetric(self.alpha, classes.max(2)).expect("validated parameters");
-        let mut mix = dir.sample(&mut rng);
+        let mut mix = dir.sample(rng);
         mix.truncate(classes);
         let total: f64 = mix.iter().map(|w| w.max(1e-12)).sum();
         let mut cdf = Vec::with_capacity(classes);
@@ -151,17 +200,29 @@ impl ShardSpec {
             cdf.push(acc);
         }
 
-        let shape = self.source.sample_shape();
-        let mut ds = Dataset::empty(&shape, classes);
-        let mut buf = vec![0.0f32; shape.iter().product()];
+        let mut draws = Draws::with_capacity(&self.source, self.samples_per_client);
         for _ in 0..self.samples_per_client {
             let u: f64 = rng.gen_range(0.0..1.0);
             let class = cdf.partition_point(|&c| c < u).min(classes - 1);
-            self.source.render(&mut rng, class, &mut buf);
-            ds.push(&buf, class);
+            draws.draw(&self.source, rng, class);
         }
-        let (train, test, val) = ds.split(&mut rng, self.train_frac, self.test_frac);
-        ClientData { train, test, val }
+        let split = SplitIndices::draw(
+            rng,
+            self.samples_per_client,
+            self.train_frac,
+            self.test_frac,
+        );
+        (draws, split)
+    }
+
+    /// The materialize phase: the drawn samples at `indices` as a dataset.
+    fn materialize(&self, draws: &Draws, indices: &[usize]) -> Dataset {
+        draws.dataset(
+            &self.source,
+            &self.source.sample_shape(),
+            self.source.num_classes(),
+            indices,
+        )
     }
 }
 
@@ -172,10 +233,12 @@ pub struct ShardStats {
     pub resident_bytes: usize,
     /// The LRU byte budget residency is kept under.
     pub budget_bytes: usize,
-    /// Lookups served from a resident shard.
+    /// Lookups (full or evaluation) served from a resident shard.
     pub hits: u64,
-    /// Lookups that generated the shard.
+    /// Lookups that generated the full shard.
     pub misses: u64,
+    /// Evaluation lookups that rendered a [`TestView`].
+    pub test_views: u64,
     /// Shards evicted to stay under budget.
     pub evictions: u64,
 }
@@ -193,6 +256,11 @@ const MAP_SHARDS: usize = 16;
 /// while the other maps stay serviceable. After an insert pushes residency
 /// over budget, the globally least-recently-touched shard is evicted —
 /// never the one just requested — until the budget holds again.
+///
+/// Evaluation reads through [`ResidentShards::get_eval`], which serves a
+/// resident shard and otherwise renders a [`TestView`] that is handed to
+/// the caller and never stored. Only full shards are resident, so an
+/// evaluation pass cannot evict a training shard.
 pub struct ResidentShards {
     spec: ShardSpec,
     num_clients: usize,
@@ -202,6 +270,7 @@ pub struct ResidentShards {
     resident_bytes: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
+    test_views: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -232,6 +301,7 @@ impl ResidentShards {
             resident_bytes: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            test_views: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -260,10 +330,8 @@ impl ResidentShards {
             let mut map = self.maps[id % MAP_SHARDS]
                 .lock()
                 .expect("shard map poisoned");
-            if let Some(e) = map.get_mut(&id) {
-                e.last_touch = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&e.data);
+            if let Some(data) = self.touch(&mut map, id, now) {
+                return data;
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
             let data = Arc::new(self.spec.generate_client(id));
@@ -283,6 +351,28 @@ impl ResidentShards {
         data
     }
 
+    /// What evaluation reads of client `id`: its resident shard if there
+    /// is one, otherwise a freshly rendered [`TestView`], which is not
+    /// kept resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= num_clients`.
+    pub fn get_eval(&self, id: usize) -> EvalShard {
+        assert!(id < self.num_clients, "client {id} out of bounds");
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut map = self.maps[id % MAP_SHARDS]
+                .lock()
+                .expect("shard map poisoned");
+            if let Some(data) = self.touch(&mut map, id, now) {
+                return EvalShard::Full(data);
+            }
+        }
+        self.test_views.fetch_add(1, Ordering::Relaxed);
+        EvalShard::View(self.spec.generate_test_view(id))
+    }
+
     /// Current counters.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
@@ -290,8 +380,23 @@ impl ResidentShards {
             budget_bytes: self.budget_bytes,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            test_views: self.test_views.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
+    }
+
+    /// Client `id`'s resident shard, refreshed to touch `now` and counted
+    /// as a hit; `None` if it is not resident.
+    fn touch(
+        &self,
+        map: &mut HashMap<usize, Entry>,
+        id: usize,
+        now: u64,
+    ) -> Option<Arc<ClientData>> {
+        let e = map.get_mut(&id)?;
+        e.last_touch = now;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&e.data))
     }
 
     /// Evicts least-recently-touched shards (never `protected`) until the
@@ -339,6 +444,7 @@ impl std::fmt::Debug for ResidentShards {
             .field("budget_bytes", &s.budget_bytes)
             .field("hits", &s.hits)
             .field("misses", &s.misses)
+            .field("test_views", &s.test_views)
             .field("evictions", &s.evictions)
             .finish_non_exhaustive()
     }
@@ -348,6 +454,8 @@ impl std::fmt::Debug for ResidentShards {
 mod tests {
     use super::*;
     use crate::synthetic::{SyntheticImageConfig, SyntheticTextConfig};
+    use rand::rngs::StdRng;
+    use rand::RngCore;
 
     fn image_spec(seed: u64) -> ShardSpec {
         let gen = SyntheticImage::new(SyntheticImageConfig {
@@ -468,5 +576,150 @@ mod tests {
     fn rejects_out_of_range_client() {
         let store = ResidentShards::new(image_spec(1), 4, 1 << 20);
         let _ = store.get(4);
+    }
+
+    /// The shard renderer before the draw and materialize phases were
+    /// split: each sample rendered feature by feature into one dataset,
+    /// which is then split.
+    fn oracle_client(spec: &ShardSpec, rng: &mut StdRng) -> ClientData {
+        use crate::synthetic::oracle::OracleRender;
+        let classes = spec.source.num_classes();
+        let dir = Dirichlet::symmetric(spec.alpha, classes.max(2)).unwrap();
+        let mut mix = dir.sample(rng);
+        mix.truncate(classes);
+        let total: f64 = mix.iter().map(|w| w.max(1e-12)).sum();
+        let mut cdf = Vec::with_capacity(classes);
+        let mut acc = 0.0;
+        for w in &mix {
+            acc += w.max(1e-12) / total;
+            cdf.push(acc);
+        }
+        let shape = spec.source.sample_shape();
+        let mut ds = Dataset::empty(&shape, classes);
+        let mut buf = vec![0.0f32; shape.iter().product()];
+        for _ in 0..spec.samples_per_client {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let class = cdf.partition_point(|&c| c < u).min(classes - 1);
+            match &spec.source {
+                ShardSource::Image(g) => g.render_sample(rng, class, &mut buf),
+                ShardSource::Text(g) => g.render_sample(rng, class, &mut buf),
+            }
+            ds.push(&buf, class);
+        }
+        let (train, test, val) = ds.split(rng, spec.train_frac, spec.test_frac);
+        ClientData { train, test, val }
+    }
+
+    fn feature_bits(d: &Dataset) -> Vec<u32> {
+        (0..d.len())
+            .flat_map(|i| d.features_of(i).iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn assert_bitwise_eq(a: &ClientData, b: &ClientData, what: &str) {
+        for (x, y, split) in [
+            (&a.train, &b.train, "train"),
+            (&a.test, &b.test, "test"),
+            (&a.val, &b.val, "val"),
+        ] {
+            assert_eq!(x.labels(), y.labels(), "{what}: {split} labels");
+            assert_eq!(feature_bits(x), feature_bits(y), "{what}: {split} features");
+        }
+    }
+
+    #[test]
+    fn two_phase_shards_match_the_per_feature_oracle_bitwise() {
+        for seed in 0..64u64 {
+            for spec in [image_spec(seed), text_spec(seed)] {
+                let mut a = shard_rng(seed, seed as usize);
+                let mut b = a.clone();
+                let (draws, split) = spec.draw_client(&mut a);
+                let got = ClientData {
+                    train: spec.materialize(&draws, split.train()),
+                    test: spec.materialize(&draws, split.test()),
+                    val: spec.materialize(&draws, split.val()),
+                };
+                let want = oracle_client(&spec, &mut b);
+                assert_bitwise_eq(&got, &want, &format!("seed {seed}"));
+                assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}: generator state");
+                assert_eq!(spec.generate_client(seed as usize), got);
+            }
+        }
+    }
+
+    #[test]
+    fn a_view_is_the_full_shards_test_split_and_label_counts() {
+        for samples in 1..=8 {
+            for base in [image_spec(21), text_spec(21)] {
+                let spec = ShardSpec::new(base.source.clone(), samples, 0.5, 21);
+                for id in 0..24 {
+                    let full = spec.generate_client(id);
+                    let view = spec.generate_test_view(id);
+                    let what = format!("{samples} samples, client {id}");
+                    assert_eq!(view.test.labels(), full.test.labels(), "{what}");
+                    assert_eq!(feature_bits(&view.test), feature_bits(&full.test), "{what}");
+                    assert_eq!(view.test.sample_shape(), full.test.sample_shape());
+                    assert_eq!(view.label_histogram(), full.label_histogram(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn evaluation_reads_a_resident_shard_or_an_unstored_view() {
+        let spec = text_spec(8);
+        let store = ResidentShards::new(spec.clone(), 8, 1 << 20);
+        for _ in 0..2 {
+            assert!(matches!(store.get_eval(3), EvalShard::View(_)));
+        }
+        let viewed = store.stats();
+        assert_eq!(
+            (
+                viewed.test_views,
+                viewed.hits,
+                viewed.misses,
+                viewed.resident_bytes
+            ),
+            (2, 0, 0, 0),
+            "a view is rendered per lookup and never stored"
+        );
+        assert_eq!(*store.get(3), spec.generate_client(3));
+        assert_eq!(
+            store.stats().misses,
+            1,
+            "a full touch renders the full shard"
+        );
+        match store.get_eval(3) {
+            EvalShard::Full(c) => assert_eq!(*c, spec.generate_client(3)),
+            EvalShard::View(_) => panic!("evaluation reads the resident full shard"),
+        }
+        let s = store.stats();
+        assert_eq!((s.test_views, s.hits), (2, 1));
+    }
+
+    #[test]
+    fn an_evaluation_pass_evicts_no_full_shard() {
+        let spec = image_spec(2);
+        let one_shard = spec.generate_client(0).heap_bytes();
+        // Room for the three training shards only.
+        let store = ResidentShards::new(spec.clone(), 64, 3 * one_shard);
+        for id in [5, 17, 40] {
+            let _ = store.get(id);
+        }
+        let resident = store.stats().resident_bytes;
+        for id in 0..64 {
+            assert_eq!(store.get_eval(id).test(), &spec.generate_client(id).test);
+        }
+        let s = store.stats();
+        assert_eq!(s.test_views, 61, "a view per client without a shard");
+        assert_eq!((s.resident_bytes, s.evictions), (resident, 0));
+        for id in [5, 17, 40] {
+            let _ = store.get(id);
+        }
+        assert_eq!(
+            store.stats().misses,
+            3,
+            "the training shards stayed resident"
+        );
     }
 }

@@ -7,8 +7,9 @@
 //! The task is easily learnable yet non-trivial, and samples of the same
 //! class are correlated — the property the paper's non-IID analysis needs.
 
+use super::render::{generate_balanced, Pick, Render};
 use crate::sample::Dataset;
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::PolarPair;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,25 +86,24 @@ impl SyntheticImage {
     pub fn generate(&self) -> Dataset {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x5EED));
-        let mut ds = Dataset::empty(&[1, cfg.side, cfg.side], cfg.classes);
-        let mut buf = vec![0.0f32; cfg.side * cfg.side];
-        for i in 0..cfg.samples {
-            let class = i % cfg.classes;
-            self.render_sample(&mut rng, class, &mut buf);
-            ds.push(&buf, class);
-        }
-        ds
+        generate_balanced(
+            self,
+            &mut rng,
+            cfg.samples,
+            &[1, cfg.side, cfg.side],
+            cfg.classes,
+        )
+    }
+}
+
+/// A sample is its class prototype translated by the pick `[dx, dy]`
+/// (edge pixels repeat), plus per-pixel noise, clamped to `[0, 1]`.
+impl Render for SyntheticImage {
+    fn feature_len(&self) -> usize {
+        self.config.side * self.config.side
     }
 
-    /// Renders one sample of `class` into `out` (length `side²`). Shared by
-    /// [`SyntheticImage::generate`] and the per-client shard generator.
-    pub(crate) fn render_sample<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        class: usize,
-        out: &mut [f32],
-    ) {
-        let s = self.config.side as isize;
+    fn draw_pick<R: Rng + ?Sized>(&self, rng: &mut R) -> Pick {
         let max = self.config.max_shift as isize;
         let dx = if max > 0 {
             rng.gen_range(-max..=max)
@@ -115,14 +115,21 @@ impl SyntheticImage {
         } else {
             0
         };
+        [dx, dy]
+    }
+
+    fn materialize(&self, class: usize, [dx, dy]: Pick, noise: &[PolarPair], out: &mut [f32]) {
+        let s = self.config.side;
+        let last = s as isize - 1;
         let proto = &self.prototypes[class];
         for y in 0..s {
-            for x in 0..s {
-                let sx = (x + dx).clamp(0, s - 1);
-                let sy = (y + dy).clamp(0, s - 1);
-                let v = proto[(sy * s + sx) as usize]
-                    + (self.config.noise * standard_normal(rng)) as f32;
-                out[(y * s + x) as usize] = v.clamp(0.0, 1.0);
+            let sy = (y as isize + dy).clamp(0, last) as usize;
+            let src = &proto[sy * s..(sy + 1) * s];
+            let row = y * s..(y + 1) * s;
+            for (x, (o, p)) in out[row.clone()].iter_mut().zip(&noise[row]).enumerate() {
+                let sx = (x as isize + dx).clamp(0, last) as usize;
+                let v = src[sx] + (self.config.noise * p.value()) as f32;
+                *o = v.clamp(0.0, 1.0);
             }
         }
     }

@@ -7,8 +7,9 @@
 //! mean plus isotropic Gaussian noise. Optional sub-topic structure (several
 //! cluster centers per class) keeps the task from being linearly trivial.
 
+use super::render::{generate_balanced, Pick, Render};
 use crate::sample::Dataset;
-use collapois_stats::distribution::standard_normal;
+use collapois_stats::distribution::{standard_normal, PolarPair};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -93,31 +94,25 @@ impl SyntheticText {
     pub fn generate(&self) -> Dataset {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xBEEF));
-        let mut ds = Dataset::empty(&[cfg.dim], cfg.classes);
-        let mut buf = vec![0.0f32; cfg.dim];
-        for i in 0..cfg.samples {
-            let class = i % cfg.classes;
-            self.render_sample(&mut rng, class, &mut buf);
-            ds.push(&buf, class);
-        }
-        ds
+        generate_balanced(self, &mut rng, cfg.samples, &[cfg.dim], cfg.classes)
+    }
+}
+
+/// A sample is the sub-topic center picked as `[cluster, 0]` plus
+/// isotropic noise.
+impl Render for SyntheticText {
+    fn feature_len(&self) -> usize {
+        self.config.dim
     }
 
-    /// Renders one sample of `class` into `out` (length `dim`): a random
-    /// sub-topic center plus isotropic noise. Shared by
-    /// [`SyntheticText::generate`] and the per-client shard generator; draws
-    /// from `rng` in exactly the sequence the inlined `generate` loop did.
-    pub(crate) fn render_sample<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        class: usize,
-        out: &mut [f32],
-    ) {
-        let cfg = &self.config;
-        let cluster = rng.gen_range(0..cfg.clusters_per_class);
-        let center = self.center(class, cluster);
-        for (b, &c) in out.iter_mut().zip(center) {
-            *b = c + (cfg.noise * standard_normal(rng)) as f32;
+    fn draw_pick<R: Rng + ?Sized>(&self, rng: &mut R) -> Pick {
+        [rng.gen_range(0..self.config.clusters_per_class) as isize, 0]
+    }
+
+    fn materialize(&self, class: usize, [cluster, _]: Pick, noise: &[PolarPair], out: &mut [f32]) {
+        let center = self.center(class, cluster as usize);
+        for ((o, &c), p) in out.iter_mut().zip(center).zip(noise) {
+            *o = c + (self.config.noise * p.value()) as f32;
         }
     }
 }

@@ -76,9 +76,11 @@ pub struct PopulationEval {
 /// attacks, the clean in-region samples for semantic attacks), using the
 /// parameters produced by `eval_params(client_id)` (the personalized
 /// model). With `aux`, the same pass also computes each client's Eq. 9
-/// cosine to it while the client's data is in hand, so a lazy cohort
-/// renders each shard once per evaluation point and [`cluster_reports`]
-/// needs no second walk.
+/// cosine to it while the client's data is in hand, so [`cluster_reports`]
+/// needs no second walk. Clients are read through
+/// [`FederatedDataset::eval_client`]: a lazy cohort serves a resident shard
+/// or renders a test-only view, at most once per client and evaluation
+/// point, and never evicts a training shard for it.
 ///
 /// Clients in `excluded` (the compromised set; any order, duplicates and
 /// out-of-range ids allowed) are skipped. Runs on a caller-owned
@@ -87,7 +89,7 @@ pub struct PopulationEval {
 /// every pass. Results are in ascending client order at any worker count —
 /// each client's outcome is a pure function of its id.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_population<F>(
+pub fn evaluate_population<'p, F>(
     fed: &FederatedDataset,
     model_spec: &ModelSpec,
     eval_params: F,
@@ -99,7 +101,7 @@ pub fn evaluate_population<F>(
     arenas: &mut WorkerArenas<Sequential>,
 ) -> PopulationEval
 where
-    F: Fn(usize) -> Vec<f32> + Sync,
+    F: Fn(usize) -> &'p [f32] + Sync,
 {
     let mut skip = vec![false; fed.num_clients()];
     for &id in excluded {
@@ -120,10 +122,9 @@ where
             model_spec.build(&mut rng)
         },
         |_, id, model| {
-            let params = eval_params(id);
-            model.set_params(&params);
-            let client = fed.client(id);
-            let test = &client.test;
+            model.set_params(eval_params(id));
+            let client = fed.eval_client(id);
+            let test = client.test();
             let benign_ac = if test.is_empty() {
                 0.0
             } else {
@@ -160,7 +161,7 @@ where
 
 /// [`evaluate_population`] without the Eq. 9 cosines.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_clients_pooled<F>(
+pub fn evaluate_clients_pooled<'p, F>(
     fed: &FederatedDataset,
     model_spec: &ModelSpec,
     eval_params: F,
@@ -171,7 +172,7 @@ pub fn evaluate_clients_pooled<F>(
     arenas: &mut WorkerArenas<Sequential>,
 ) -> Vec<ClientMetrics>
 where
-    F: Fn(usize) -> Vec<f32> + Sync,
+    F: Fn(usize) -> &'p [f32] + Sync,
 {
     evaluate_population(
         fed,
@@ -221,8 +222,9 @@ pub struct ClusterReport {
 /// bottom-50 % — each excludes all preceding clusters) and computes each
 /// cluster's `CS_k` against the auxiliary dataset `aux` (Eq. 9).
 ///
-/// Reads every client's shard; a run that already evaluated with `aux`
-/// calls [`cluster_reports`] on the pass's cosines instead.
+/// Reads every client's label counts through
+/// [`FederatedDataset::eval_client`]; a run that already evaluated with
+/// `aux` calls [`cluster_reports`] on the pass's cosines instead.
 pub fn cluster_analysis(
     fed: &FederatedDataset,
     metrics: &[ClientMetrics],
@@ -231,14 +233,16 @@ pub fn cluster_analysis(
     let reference = cumulative_label_distribution(aux);
     let cosines: Vec<f64> = metrics
         .iter()
-        .map(|m| cumulative_counts_cosine(&fed.client(m.client_id).label_histogram(), &reference))
+        .map(|m| {
+            cumulative_counts_cosine(&fed.eval_client(m.client_id).label_histogram(), &reference)
+        })
         .collect();
     cluster_reports(metrics, &cosines)
 }
 
 /// [`cluster_analysis`] from precomputed Eq. 9 cosines (`label_cosines[i]`
 /// belongs to `metrics[i]`, as [`PopulationEval`] lays them out). Touches
-/// no client data.
+/// no client data. No clients make no clusters.
 ///
 /// # Panics
 ///
@@ -251,6 +255,9 @@ pub fn cluster_reports(metrics: &[ClientMetrics], label_cosines: &[f64]) -> Vec<
     );
     // A stable sort of indices by the same key orders clients exactly as a
     // stable sort of the metrics themselves would.
+    if metrics.is_empty() {
+        return Vec::new();
+    }
     let mut order: Vec<usize> = (0..metrics.len()).collect();
     order.sort_by(|&a, &b| {
         metrics[b]
@@ -357,6 +364,11 @@ mod tests {
     }
 
     #[test]
+    fn no_clients_make_no_clusters() {
+        assert!(cluster_reports(&[], &[]).is_empty());
+    }
+
+    #[test]
     fn pooled_evaluation_is_worker_count_invariant() {
         let f = fed();
         let spec = ModelSpec::mlp(64, &[16], 4);
@@ -366,16 +378,7 @@ mod tests {
         let serial = {
             let pool = WorkerPool::new(1);
             let mut arenas = WorkerArenas::new();
-            evaluate_clients_pooled(
-                &f,
-                &spec,
-                |_| params.clone(),
-                &trigger,
-                0,
-                &[],
-                &pool,
-                &mut arenas,
-            )
+            evaluate_clients_pooled(&f, &spec, |_| &params, &trigger, 0, &[], &pool, &mut arenas)
         };
         for workers in [2, 4, 8] {
             let pool = WorkerPool::new(workers);
@@ -386,7 +389,7 @@ mod tests {
                 let pooled = evaluate_clients_pooled(
                     &f,
                     &spec,
-                    |_| params.clone(),
+                    |_| &params,
                     &trigger,
                     0,
                     &[],
@@ -410,7 +413,7 @@ mod tests {
         let ms = evaluate_clients_pooled(
             &f,
             &spec,
-            |_| params.clone(),
+            |_| &params,
             &trigger,
             0,
             &[0],
@@ -438,7 +441,7 @@ mod tests {
             evaluate_clients_pooled(
                 &f,
                 &spec,
-                |_| params.clone(),
+                |_| &params,
                 &trigger,
                 0,
                 excluded,
@@ -468,7 +471,7 @@ mod tests {
         let pass = evaluate_population(
             &f,
             &spec,
-            |_| params.clone(),
+            |_| &params,
             &trigger,
             0,
             &[5, 2],
@@ -485,7 +488,7 @@ mod tests {
         let plain = evaluate_clients_pooled(
             &f,
             &spec,
-            |_| params.clone(),
+            |_| &params,
             &trigger,
             0,
             &[2, 5],

@@ -183,10 +183,10 @@ impl Personalization for Clustered {
         }
     }
 
-    fn eval_params(&self, client_id: usize, global: &[f32]) -> Vec<f32> {
+    fn eval_params<'a>(&'a self, client_id: usize, global: &'a [f32]) -> &'a [f32] {
         match self.assignment.get(client_id).copied().flatten() {
-            Some(c) if c < self.clusters.len() => self.clusters[c].clone(),
-            _ => global.to_vec(),
+            Some(c) if c < self.clusters.len() => &self.clusters[c],
+            _ => global,
         }
     }
 
@@ -280,10 +280,10 @@ mod tests {
         let c1 = cl.assignment_of(1).unwrap();
         assert_ne!(c0, c1, "conflicting populations should separate");
         // Each client's cluster model fits its own data.
-        model.set_params(&cl.eval_params(0, &global));
+        model.set_params(cl.eval_params(0, &global));
         let (xa, ya) = a.as_batch();
         assert!(model.evaluate(&xa, &ya) > 0.9);
-        model.set_params(&cl.eval_params(1, &global));
+        model.set_params(cl.eval_params(1, &global));
         let (xb, yb) = b.as_batch();
         assert!(model.evaluate(&xb, &yb) > 0.9);
     }

@@ -108,11 +108,8 @@ impl Personalization for Ditto {
         }
     }
 
-    fn eval_params(&self, client_id: usize, global: &[f32]) -> Vec<f32> {
-        match self.personal.get(client_id) {
-            Some(p) => p.clone(),
-            None => global.to_vec(),
-        }
+    fn eval_params<'a>(&'a self, client_id: usize, global: &'a [f32]) -> &'a [f32] {
+        self.personal.get(client_id).map_or(global, Vec::as_slice)
     }
 
     fn export_state(&self) -> Vec<Option<Vec<f32>>> {
@@ -193,7 +190,7 @@ mod tests {
             d.init(1, global.len());
             let mut rng2 = StdRng::seed_from_u64(2);
             let _ = train_and_commit(&mut d, 0, &global, &data, &cfg, &mut scratch, &mut rng2);
-            l2_distance(&d.eval_params(0, &global), &global)
+            l2_distance(d.eval_params(0, &global), &global)
         };
         assert!(
             run(100.0) < run(0.0),

@@ -108,11 +108,8 @@ impl Personalization for FedDc {
         }
     }
 
-    fn eval_params(&self, client_id: usize, global: &[f32]) -> Vec<f32> {
-        match self.personal.get(client_id) {
-            Some(p) => p.clone(),
-            None => global.to_vec(),
-        }
+    fn eval_params<'a>(&'a self, client_id: usize, global: &'a [f32]) -> &'a [f32] {
+        self.personal.get(client_id).map_or(global, Vec::as_slice)
     }
 
     /// Layout: `n` drift entries followed by `n` personal-model entries.

@@ -124,11 +124,8 @@ impl Personalization for MetaFed {
         }
     }
 
-    fn eval_params(&self, client_id: usize, global: &[f32]) -> Vec<f32> {
-        match self.personal.get(client_id) {
-            Some(p) => p.clone(),
-            None => global.to_vec(),
-        }
+    fn eval_params<'a>(&'a self, client_id: usize, global: &'a [f32]) -> &'a [f32] {
+        self.personal.get(client_id).map_or(global, Vec::as_slice)
     }
 
     fn export_state(&self) -> Vec<Option<Vec<f32>>> {
@@ -168,7 +165,7 @@ mod tests {
         mf.init(2, global.len());
         let out = mf.local_train(0, &global, &toy_data(), &cfg, &mut scratch, &mut rng);
         mf.commit(0, out.commit);
-        let p1 = mf.eval_params(0, &global);
+        let p1 = mf.eval_params(0, &global).to_vec();
         assert_ne!(p1, global);
         // A second round starts from the stored personal model, not global.
         let out = mf.local_train(0, &global, &toy_data(), &cfg, &mut scratch, &mut rng);
@@ -194,7 +191,7 @@ mod tests {
         let data = toy_data();
         let out = mf.local_train(0, &global, &data, &cfg, &mut scratch, &mut rng);
         mf.commit(0, out.commit);
-        model.set_params(&mf.eval_params(0, &global));
+        model.set_params(mf.eval_params(0, &global));
         let (x, y) = data.as_batch();
         assert!(model.evaluate(&x, &y) > 0.9);
     }

@@ -125,8 +125,9 @@ pub trait Personalization: std::fmt::Debug + Send + Sync {
 
     /// Parameters of the model used to evaluate client `client_id`'s
     /// metrics (the personalized model `θ_i`; the global model when the
-    /// strategy keeps no per-client state or the client never participated).
-    fn eval_params(&self, client_id: usize, global: &[f32]) -> Vec<f32>;
+    /// strategy keeps no per-client state or the client never participated),
+    /// borrowed from the strategy or from `global`.
+    fn eval_params<'a>(&'a self, client_id: usize, global: &'a [f32]) -> &'a [f32];
 
     /// Serializes the strategy's mutable state for checkpointing. The
     /// layout is strategy-internal; the only contract is that
@@ -172,8 +173,8 @@ impl Personalization for NoPersonalization {
         LocalOutcome::stateless(std::mem::take(&mut scratch.delta))
     }
 
-    fn eval_params(&self, _client_id: usize, global: &[f32]) -> Vec<f32> {
-        global.to_vec()
+    fn eval_params<'a>(&'a self, _client_id: usize, global: &'a [f32]) -> &'a [f32] {
+        global
     }
 }
 

@@ -129,8 +129,8 @@ impl Personalization for Scaffold {
         self.clients[client_id] = Some(ctrl);
     }
 
-    fn eval_params(&self, _client_id: usize, global: &[f32]) -> Vec<f32> {
-        global.to_vec()
+    fn eval_params<'a>(&'a self, _client_id: usize, global: &'a [f32]) -> &'a [f32] {
+        global
     }
 
     /// Layout: slot 0 holds the server variate `c`, slots `1..=N` the

@@ -134,9 +134,10 @@ fn profile_row(cell: &GridCell, report: &collapois_core::scenario::ScenarioRepor
         row.push_str(&format!(
             concat!(
                 ",\"shard_resident_bytes\":{},\"shard_budget_bytes\":{},",
-                "\"shard_hits\":{},\"shard_misses\":{},\"shard_evictions\":{}"
+                "\"shard_hits\":{},\"shard_misses\":{},\"shard_test_views\":{},",
+                "\"shard_evictions\":{}"
             ),
-            s.resident_bytes, s.budget_bytes, s.hits, s.misses, s.evictions,
+            s.resident_bytes, s.budget_bytes, s.hits, s.misses, s.test_views, s.evictions,
         ));
     }
     row.push('}');

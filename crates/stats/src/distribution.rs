@@ -73,16 +73,47 @@ impl Normal {
     }
 }
 
-/// One standard-normal variate (Marsaglia polar method).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
+/// One accepted draw of the Marsaglia polar method: the first uniform `u`
+/// and the squared radius `s = u² + v²`, with `0 < s < 1`. The variate it
+/// maps to is [`PolarPair::value`]; drawing and mapping are separate so a
+/// renderer can record a sample's draws and map only the ones it keeps.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PolarPair {
+    /// First uniform of the accepted pair, in `(-1, 1)`.
+    pub u: f64,
+    /// Squared radius `u² + v²`, in `(0, 1)`.
+    pub s: f64,
+}
+
+impl PolarPair {
+    /// The standard-normal variate `u·sqrt(−2 ln s / s)`.
+    #[inline]
+    pub fn value(self) -> f64 {
+        self.u * (-2.0 * self.s.ln() / self.s).sqrt()
+    }
+}
+
+/// Fills `out` with accepted polar pairs, consuming exactly the uniform
+/// draws `out.len()` calls of [`standard_normal`] would. Every pair is
+/// written to the next free slot and the slot advances only on
+/// acceptance, so a rejected pair is overwritten without a branch.
+pub fn draw_polar_pairs<R: Rng + ?Sized>(rng: &mut R, out: &mut [PolarPair]) {
+    let mut k = 0;
+    while k < out.len() {
         let u: f64 = rng.gen_range(-1.0..1.0);
         let v: f64 = rng.gen_range(-1.0..1.0);
         let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
+        out[k] = PolarPair { u, s };
+        k += usize::from(s > 0.0 && s < 1.0);
     }
+}
+
+/// One standard-normal variate (Marsaglia polar method): one accepted
+/// [`PolarPair`] mapped through [`PolarPair::value`].
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let mut pair = [PolarPair::default()];
+    draw_polar_pairs(rng, &mut pair);
+    pair[0].value()
 }
 
 /// Gamma distribution with shape `k` and scale `θ` (mean `kθ`), sampled with
@@ -357,6 +388,38 @@ mod tests {
         let xs = n.sample_n(&mut rng, 50_000);
         assert!((mean(&xs) - 3.0).abs() < 0.05);
         assert!((variance(&xs).sqrt() - 2.0).abs() < 0.05);
+    }
+
+    /// The rejection loop `standard_normal` ran before drawing and mapping
+    /// were split.
+    fn polar_loop_oracle(rng: &mut StdRng) -> f64 {
+        loop {
+            let u: f64 = rng.gen_range(-1.0..1.0);
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                return u * (-2.0 * s.ln() / s).sqrt();
+            }
+        }
+    }
+
+    #[test]
+    fn polar_pairs_match_the_rejection_loop_bitwise() {
+        use rand::RngCore;
+        for seed in 0..64u64 {
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            let mut pairs = vec![PolarPair::default(); 97];
+            draw_polar_pairs(&mut a, &mut pairs);
+            for p in &pairs {
+                assert_eq!(p.value().to_bits(), polar_loop_oracle(&mut b).to_bits());
+            }
+            assert_eq!(
+                standard_normal(&mut a).to_bits(),
+                polar_loop_oracle(&mut b).to_bits()
+            );
+            assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}: generator state");
+        }
     }
 
     #[test]
